@@ -101,9 +101,14 @@ class AugEnv:
             return ZERO
         if flavor == "s":
             return ONE if j == 1 else ZERO
-        if j == 1:
-            return -ONE
-        acc = ZERO
-        for k in range(j - 1):
-            acc = acc + p_coeff(k) * self._aug_euler_tower(j - 1 - k, "r")
-        return acc
+        # T(1) = -1, T(n) = sum_{k<n-1} p_k T(n-1-k), filled bottom-up into
+        # the memo: O(j^2) ring operations instead of 2^(j-1) calls
+        memo = self._memo
+        e_r = ("euler", "r")
+        for n in range(1, j + 1):
+            if (n, e_r) not in memo:
+                acc = -ONE if n == 1 else ZERO
+                for k in range(n - 1):
+                    acc = acc + p_coeff(k) * memo[(n - 1 - k, e_r)]
+                memo[(n, e_r)] = acc
+        return memo[(j, e_r)]

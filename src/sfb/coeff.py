@@ -13,31 +13,41 @@ needs a torsion-free graded ring with designated ``cp`` classes.
 
 from __future__ import annotations
 
-# Generator keys.
+# Generator keys (the public API of gen, aug_symbols and substitute).
 #   ('g', n)            -> g_n, degree 2n
 #   ('A', j, base, deg) -> A(j;base), degree deg (even), j >= 1
 GenKey = tuple
 
 _A_BASE_WHITELIST_NOTE = "base keys are 'P' or 'Z(n,r)'/'Z(n,s)'"
 
-
-def _gen_degree(key: GenKey) -> int:
-    if key[0] == "g":
-        return 2 * key[1]
-    return key[3]
-
-
-def _gen_name(key: GenKey) -> str:
-    if key[0] == "g":
-        return "g%d" % key[1]
-    return "A(%d;%s)" % (key[1], key[2])
+# Inside monomials a generator is stored as its own sort key:
+#   (0, n, "")            for g_n
+#   (1, deg, "A(j;base)") for A(j;base)
+# so plain tuple order is the generator order (g's by index, then A's by
+# degree and rendered name) and monomial products sort without a key
+# function.  The tables are filled lazily, one entry per generator seen.
+_STORED = {}  # public key -> stored key
+_PUBLIC = {}  # stored key -> public key
 
 
-def _gen_sort_key(key: GenKey):
-    # g's first by index, then A's by (degree, rendered name)
-    if key[0] == "g":
-        return (0, key[1], "")
-    return (1, key[3], _gen_name(key))
+def _intern(key: GenKey) -> tuple:
+    stored = _STORED.get(key)
+    if stored is None:
+        if key[0] == "g":
+            stored = (0, key[1], "")
+        else:
+            stored = (1, key[3], "A(%d;%s)" % (key[1], key[2]))
+        _STORED[key] = stored
+        _PUBLIC[stored] = key
+    return stored
+
+
+def _gen_degree(stored: tuple) -> int:
+    return 2 * stored[1] if stored[0] == 0 else stored[1]
+
+
+def _gen_name(stored: tuple) -> str:
+    return "g%d" % stored[1] if stored[0] == 0 else stored[2]
 
 
 def base_key_degree(base: str) -> int:
@@ -67,8 +77,8 @@ def aug_symbol_key(j: int, base: str) -> GenKey:
 class CoeffElement:
     """Sparse polynomial: monomial -> nonzero int.
 
-    A monomial is a sorted tuple of (generator key, exponent >= 1) pairs.
-    Instances are treated as immutable once built.
+    A monomial is a sorted tuple of (stored generator key, exponent >= 1)
+    pairs.  Instances are treated as immutable once built.
     """
 
     __slots__ = ("terms",)
@@ -88,7 +98,7 @@ class CoeffElement:
 
     @staticmethod
     def gen(key: GenKey) -> "CoeffElement":
-        return CoeffElement({((key, 1),): 1})
+        return CoeffElement({((_intern(key), 1),): 1})
 
     # --- ring operations ----------------------------------------------
 
@@ -115,10 +125,17 @@ class CoeffElement:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self._times_int(other)
         other = _coerce(other)
+        a, b = self.terms, other.terms
+        if len(b) == 1 and () in b:
+            return self._times_int(b[()])
+        if len(a) == 1 and () in a:
+            return other._times_int(a[()])
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
                 s = out.get(mono, 0) + c1 * c2
                 if s:
@@ -128,6 +145,13 @@ class CoeffElement:
         return CoeffElement(out)
 
     __rmul__ = __mul__
+
+    def _times_int(self, n: int) -> "CoeffElement":
+        if n == 1:
+            return self
+        if not n:
+            return CoeffElement()
+        return CoeffElement({m: c * n for m, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -181,9 +205,6 @@ class CoeffElement:
 
     # --- queries --------------------------------------------------------
 
-    def constant(self) -> int:
-        return self.terms.get((), 0)
-
     def as_int(self):
         """The integer value if the element is constant, else None."""
         if not self.terms:
@@ -194,15 +215,11 @@ class CoeffElement:
 
     def aug_symbols(self) -> list:
         """Sorted list of A-symbol keys appearing anywhere."""
-        seen = set()
-        for mono in self.terms:
-            for key, _ in mono:
-                if key[0] == "A":
-                    seen.add(key)
-        return sorted(seen, key=_gen_sort_key)
+        seen = {key for mono in self.terms for key, _ in mono if key[0]}
+        return [_PUBLIC[key] for key in sorted(seen)]
 
     def has_aug_symbols(self) -> bool:
-        return any(key[0] == "A" for mono in self.terms for key, _ in mono)
+        return any(key[0] for mono in self.terms for key, _ in mono)
 
     def substitute(self, assignments: dict) -> "CoeffElement":
         """Replace A-symbols by elements; keys are generator key tuples.
@@ -210,6 +227,7 @@ class CoeffElement:
         Every assigned value must be zero or homogeneous of the symbol's
         degree, so substitution preserves the grading.
         """
+        stored = {}
         for key, value in assignments.items():
             if key[0] != "A":
                 raise ValueError("only A-symbols may be substituted: %r" % (key,))
@@ -218,16 +236,18 @@ class CoeffElement:
             if vdeg is not None and vdeg != key[3]:
                 raise ValueError(
                     "degree mismatch for %s: symbol degree %d, value degree %d"
-                    % (_gen_name(key), key[3], vdeg)
+                    % (aug_symbol_name(key), key[3], vdeg)
                 )
+            stored[_intern(key)] = value
         out = CoeffElement.zero()
         for mono, c in self.terms.items():
             piece = CoeffElement.integer(c)
             for key, exp in mono:
-                if key in assignments:
-                    piece = piece * (_coerce(assignments[key]) ** exp)
+                value = stored.get(key)
+                if value is None:
+                    piece = piece * CoeffElement({((key, exp),): 1})
                 else:
-                    piece = piece * (CoeffElement.gen(key) ** exp)
+                    piece = piece * value ** exp
             out = out + piece
         return out
 
@@ -238,7 +258,7 @@ class CoeffElement:
             return "0"
         items = sorted(
             self.terms.items(),
-            key=lambda kv: (_mono_degree(kv[0]), _mono_sort_key(kv[0])),
+            key=lambda kv: (_mono_degree(kv[0]), kv[0]),
         )
         parts = []
         for idx, (mono, c) in enumerate(items):
@@ -274,15 +294,11 @@ def _mono_mul(m1, m2):
     acc = dict(m1)
     for key, exp in m2:
         acc[key] = acc.get(key, 0) + exp
-    return tuple(sorted(acc.items(), key=lambda kv: _gen_sort_key(kv[0])))
+    return tuple(sorted(acc.items()))
 
 
 def _mono_degree(mono) -> int:
     return sum(_gen_degree(key) * exp for key, exp in mono)
-
-
-def _mono_sort_key(mono):
-    return tuple((_gen_sort_key(key), exp) for key, exp in mono)
 
 
 def _mono_str(mono) -> str:
@@ -311,7 +327,7 @@ def aug_symbol(j: int, base: str) -> CoeffElement:
 
 
 def aug_symbol_name(key: GenKey) -> str:
-    return _gen_name(key)
+    return _gen_name(_intern(key))
 
 
 # --- parsing -----------------------------------------------------------

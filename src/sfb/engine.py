@@ -23,14 +23,12 @@ available, see ``enumerate_basis``).
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 
 from .coeff import CoeffElement, ONE, ZERO, cp
 from .phi import (
     PhiElement,
-    from_z_basis,
     leading_term,
     neg_lex_key,
     to_z_basis,
@@ -45,7 +43,6 @@ from .terms import (
     t_prod,
     t_sum,
     t_zgen,
-    term_canon,
     term_text,
 )
 from .aug import AugEnv
@@ -62,6 +59,19 @@ class StepBudgetExceeded(RuntimeError):
 
 class LambdaMismatch(RuntimeError):
     """Normalization produced a different localized image than the input."""
+
+
+def _add_scaled(acc: dict, terms: dict, c: CoeffElement) -> None:
+    """acc += c * terms, in place, on maps key -> nonzero CoeffElement."""
+    for key, v in terms.items():
+        v = c * v
+        s = acc.get(key)
+        if s is not None:
+            v = s + v
+        if v.terms:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
 
 
 # --- generator atoms ------------------------------------------------------
@@ -293,11 +303,35 @@ class NormalForm:
         ]
 
     def lambda_image(self, convention: str = "same") -> PhiElement:
+        """Sum of c * lambda(bm).  The image of each bare word (i, j, x)
+        is built once per call from that of its inner word, and the
+        image of each multiset m once per call from its atoms."""
         if self._lambda is None or self._lambda[0] != convention:
-            acc = PhiElement.zero()
-            for bm, c in self.terms.items():
-                acc = acc + lambda_term(bm_term(bm), convention).scale(c)
-            self._lambda = (convention, acc)
+            words, multisets, acc = {}, {(): PhiElement.one()}, {}
+
+            def word_image(i, j, x):
+                lam = words.get((i, j, x))
+                if lam is None:
+                    if (i, j) == (0, 0):
+                        lam = lambda_term(bm_term((0, 0, x, ())), convention)
+                    else:
+                        flavor = "r" if i else "s"
+                        inner = (i - 1, j, x) if i else (0, j - 1, x)
+                        lam = _lambda_gamma(
+                            flavor, word_image(*inner), bm_term(inner + ((),))
+                        )
+                    words[(i, j, x)] = lam
+                return lam
+
+            for (i, j, x, m), c in self.terms.items():
+                lam_m = multisets.get(m)
+                if lam_m is None:
+                    lam_m = PhiElement.one()
+                    for a in m:
+                        lam_m = lam_m * lambda_term(atom_term(a), convention)
+                    multisets[m] = lam_m
+                _add_scaled(acc, (word_image(i, j, x) * lam_m).terms, c)
+            self._lambda = (convention, PhiElement(acc))
         return self._lambda[1]
 
     def aug(self) -> CoeffElement:
@@ -327,9 +361,7 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
     if tag == "zgen":
         return z_gen(t[1], t[2], convention)
     if tag == "gamma":
-        inner = lambda_term(t[2], convention)
-        scalar = PhiElement.const(AUG.aug(t[2]))
-        return PhiElement.euler(t[1], -1) * (inner - scalar)
+        return _lambda_gamma(t[1], lambda_term(t[2], convention), t[2])
     if tag == "bar":
         return PhiElement.const(AUG.aug(t[1]))
     if tag == "sum":
@@ -343,6 +375,12 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
             acc = acc * lambda_term(s, convention)
         return acc
     raise ValueError("unknown term tag %r" % (tag,))
+
+
+def _lambda_gamma(flavor: str, inner: PhiElement, inner_term: tuple) -> PhiElement:
+    """lambda(G_V y) = e_V^-1 (lambda(y) - bar y), given lambda(y)."""
+    scalar = PhiElement.const(AUG.aug(inner_term))
+    return PhiElement.euler(flavor, -1) * (inner - scalar)
 
 
 # --- the rewriting engine -------------------------------------------------
@@ -433,17 +471,17 @@ class GammaEngine:
     # -- bilinear layers ----------------------------------------------------
 
     def nf_gamma_elem(self, flavor: str, nf: NormalForm) -> NormalForm:
-        acc = NormalForm.zero()
+        acc = {}
         for bm, c in nf.terms.items():
-            acc = acc + self.nf_gamma(flavor, bm).scale(c)
-        return acc
+            _add_scaled(acc, self.nf_gamma(flavor, bm).terms, c)
+        return NormalForm(acc)
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        acc = NormalForm.zero()
+        acc = {}
         for bm1, c1 in a.terms.items():
             for bm2, c2 in b.terms.items():
-                acc = acc + self.nf_mul(bm1, bm2).scale(c1 * c2)
-        return acc
+                _add_scaled(acc, self.nf_mul(bm1, bm2).terms, c1 * c2)
+        return NormalForm(acc)
 
     def _tick(self):
         self._steps += 1
@@ -573,10 +611,10 @@ class GammaEngine:
 
     def _fold_atoms(self, nf: NormalForm, atoms: tuple) -> NormalForm:
         for a in atoms:
-            acc = NormalForm.zero()
+            acc = {}
             for bm, c in nf.terms.items():
-                acc = acc + self._mul_bm_atom(bm, a).scale(c)
-            nf = acc
+                _add_scaled(acc, self._mul_bm_atom(bm, a).terms, c)
+            nf = NormalForm(acc)
         return nf
 
     def _mul_bm_atom(self, bm: tuple, atom: tuple) -> NormalForm:

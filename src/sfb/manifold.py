@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .coeff import CoeffElement, ONE, ZERO, _Scanner
+from .coeff import CoeffElement, _Scanner
 from .phi import PhiElement, z_gen
-from .terms import t_bar, t_gamma, t_int, t_prod, t_sum, t_zgen
+from .terms import t_gamma, t_int, t_prod, t_sum, t_zgen
 from .engine import AUG
 
 
@@ -206,16 +206,28 @@ def fixed_data_to_json(data: dict) -> dict:
     return {"points": points}
 
 
+def _json_int(point: dict, field: str) -> int:
+    if field not in point:
+        raise ManifoldParseError("fixed point %r has no %r" % (point, field))
+    value = point[field]
+    # bool is a subclass of int, but true/false are not counts
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ManifoldParseError("%r must be an integer, got %r" % (field, value))
+    return value
+
+
 def fixed_data_from_json(doc: dict) -> dict:
-    if not isinstance(doc, dict) or "points" not in doc:
-        raise ValueError('fixed-point data must be {"points": [...]}')
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
+        raise ManifoldParseError('fixed-point data must be {"points": [...]}')
     out = {}
     for p in doc["points"]:
-        w = int(p["weight"])
-        k = int(p["rho"])
-        l = int(p["rho_star"])
+        if not isinstance(p, dict):
+            raise ManifoldParseError("fixed point must be an object, got %r" % (p,))
+        w = _json_int(p, "weight")
+        k = _json_int(p, "rho")
+        l = _json_int(p, "rho_star")
         if k < 0 or l < 0:
-            raise ValueError("normal-line counts must be >= 0")
+            raise ManifoldParseError("normal-line counts must be >= 0")
         s = out.get((k, l), 0) + w
         if s:
             out[(k, l)] = s

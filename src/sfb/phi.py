@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 
-from .coeff import CoeffElement, ONE, ZERO, cp
+from .coeff import CoeffElement, ONE, ZERO
 
 
 Flavor = str  # 'r' or 's'
@@ -120,11 +120,14 @@ class PhiElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(m, None)
+                v = c1 * c2
+                s = out.get(m)
+                if s is not None:
+                    v = s + v
+                if v.terms:
+                    out[m] = v
                 else:
-                    out[m] = s
+                    out.pop(m, None)
         return PhiElement(out)
 
     def scale(self, c) -> "PhiElement":

@@ -139,3 +139,25 @@ def test_memo_is_by_shape():
     a = t_prod(t_int(2), t_euler("r"))
     b = t_prod(t_euler("r"), t_int(2))
     assert env.aug(t_gamma("s", a)) == env.aug(t_gamma("s", b))
+
+
+def test_deep_euler_towers_are_memoized():
+    # aug(G_s^j e_r) has one monomial per partition of j - 1, so j = 28
+    # (3010 monomials) stays small while 2^27 unmemoized calls would not
+    j = 28
+    env = AugEnv()
+    # partial-sum recurrence: T(1) = -1, T(n) = sum_{k<n-1} p_k T(n-1-k)
+    tower = [CoeffElement.zero(), CoeffElement.integer(-1)]
+    for n in range(2, j + 1):
+        acc = CoeffElement.zero()
+        for k in range(n - 1):
+            acc = acc + p_coeff(k) * tower[n - 1 - k]
+        tower.append(acc)
+    assert env.aug_power(j, t_euler("r")) == tower[j]
+    assert env.aug(g_s(t_euler("r"), j)) == tower[j]
+    assert len(tower[j].terms) == 3010
+    # one memo entry per tower height, plus the j + 1 nested G_s terms
+    assert len(env._memo) <= 2 * j + 2
+    assert env.aug_power(60, t_euler("s")) == 0
+    assert env.aug(g_s(t_euler("s"), 60)) == 0
+    assert env.aug_power(1, t_euler("s")) == 1

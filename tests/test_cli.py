@@ -241,6 +241,41 @@ def test_parse_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        '{"points": [{"weight": 1}]}',
+        '{"points": [{"weight": 1, "rho": 0}]}',
+        '{"points": [{"weight": 1, "rho_star": 0}]}',
+        '{"points": 5}',
+        '{"points": [5]}',
+        '{"points": [{"weight": 1.7, "rho": 0, "rho_star": 0}]}',
+        '{"points": [{"weight": true, "rho": 0, "rho_star": 0}]}',
+        '{"points": [{"weight": 1, "rho": 1.0, "rho_star": 0}]}',
+        '{"points": [{"weight": 1, "rho": 0, "rho_star": false}]}',
+        '{"points": [{"weight": "1", "rho": 0, "rho_star": 0}]}',
+    ],
+    ids=[
+        "missing-rho-and-rho_star",
+        "missing-rho_star",
+        "missing-rho",
+        "points-not-a-list",
+        "point-not-an-object",
+        "float-weight",
+        "bool-weight",
+        "float-rho",
+        "bool-rho_star",
+        "string-weight",
+    ],
+)
+def test_realize_rejects_malformed_points(capsys, data):
+    code = main(["realize", data])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_console_script_and_budget_abort():
     exe = shutil.which("sfb")
     assert exe is not None

@@ -136,3 +136,55 @@ def _gen_strategy():
 @settings(max_examples=150, deadline=None)
 def test_print_parse_round_trip(c):
     assert parse_coeff(str(c)) == c
+
+
+# text of mixed g/A products, as printed before generators were interned
+PINNED_TEXT = (
+    (
+        lambda: aug_symbol(2, "P") * cp(2) * aug_symbol(1, "Z(2,r)") * cp(1) ** 3,
+        "g1^3*g2*A(1;Z(2,r))*A(2;P)",
+    ),
+    (
+        lambda: 3 * aug_symbol(1, "Z(3,s)") * cp(1)
+        - 2 * aug_symbol(2, "P") ** 2 * cp(2)
+        + aug_symbol(1, "P") * cp(3)
+        + aug_symbol(1, "Z(2,r)") * aug_symbol(1, "Z(2,s)")
+        - 5,
+        "-5 + 3*g1*A(1;Z(3,s)) + g3*A(1;P) + A(1;Z(2,r))*A(1;Z(2,s))"
+        " - 2*g2*A(2;P)^2",
+    ),
+    (
+        lambda: (cp(1) + aug_symbol(1, "P")) ** 3 - aug_symbol(2, "Z(2,s)") * cp(2),
+        "g1^3 + 3*g1^2*A(1;P) + 3*g1*A(1;P)^2 - g2*A(2;Z(2,s)) + A(1;P)^3",
+    ),
+    (
+        # A's order by degree before name: A(2;P) (degree 6) < A(1;Z(3,s))
+        lambda: aug_symbol(1, "Z(3,s)") * aug_symbol(2, "P") * cp(1)
+        + cp(4) * aug_symbol(1, "Z(2,s)") ** 2
+        - aug_symbol(3, "P") * cp(2) ** 3,
+        "g1*A(2;P)*A(1;Z(3,s)) - g2^3*A(3;P) + g4*A(1;Z(2,s))^2",
+    ),
+)
+
+
+def test_mixed_product_text_is_pinned():
+    for build, text in PINNED_TEXT:
+        x = build()
+        assert str(x) == text
+        assert parse_coeff(str(x)) == x
+
+
+def test_public_keys_survive_interning():
+    x = PINNED_TEXT[1][0]()
+    assert x.aug_symbols() == [
+        ("A", 1, "P", 4),
+        ("A", 1, "Z(2,r)", 6),
+        ("A", 1, "Z(2,s)", 6),
+        ("A", 2, "P", 6),
+        ("A", 1, "Z(3,s)", 8),
+    ]
+    assert CoeffElement.gen(("g", 2)) == cp(2)
+    assert CoeffElement.gen(("A", 2, "P", 6)) == aug_symbol(2, "P")
+    out = x.substitute({("A", 2, "P", 6): cp(3), aug_symbol_key(1, "Z(3,s)"): 0})
+    assert str(out) == "-5 + g3*A(1;P) + A(1;Z(2,r))*A(1;Z(2,s)) - 2*g2*g3^2"
+    assert parse_coeff(str(out)) == out

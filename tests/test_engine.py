@@ -15,6 +15,7 @@ from sfb.engine import (
     atom_order,
     bm_degree,
     bm_is_legal,
+    bm_term,
     lambda_term,
     swap_division_flavor,
     random_term,
@@ -113,6 +114,20 @@ def test_mixed_pole_convention_engine():
         t = random_term(rng, depth=3, max_z=4)
         nf = eng.normalize(t)  # built-in image cross-check must hold
         assert nf.lambda_image("mixed") == lambda_term(t, "mixed")
+
+
+def test_lambda_image_equals_unmemoized_definition(engine):
+    # lambda_image reuses word and multiset images within a call; the
+    # definition it must agree with is sum of c * lambda(bm), term by term
+    rng = random.Random(25)
+    for _ in range(40):
+        t = random_term(rng, depth=4, max_z=4)
+        nf = engine.normalize(t, check_lambda=False)
+        for convention in ("same", "mixed"):
+            direct = PhiElement.zero()
+            for bm, c in nf.terms.items():
+                direct = direct + lambda_term(bm_term(bm), convention).scale(c)
+            assert nf.lambda_image(convention) == direct
 
 
 def test_identity_rewrite_helper():
