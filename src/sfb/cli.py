@@ -2,8 +2,9 @@
 
 stdout carries data (JSON), stderr carries diagnostics.  Exit codes:
 0 success / true / realizable; 1 false / rejected / undecided;
-2 parse or validation error; 3 internal consistency failure (the
-localized-image cross-check or the rewrite step budget)."""
+2 parse or validation error, or input nested too deeply; 3 internal
+consistency failure (the localized-image cross-check or the rewrite
+step budget)."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .coeff import (
 from .engine import (
     GammaEngine,
     LambdaMismatch,
-    NormalForm,
     StepBudgetExceeded,
     VARIANTS,
     bm_degree,
@@ -179,8 +179,7 @@ def cmd_subst(args) -> int:
         return 0
     engine = GammaEngine(z_convention=args.z_convention)
     nf = engine.normalize(term)
-    out = NormalForm({bm: c.substitute(assignments) for bm, c in nf.terms.items()})
-    _emit(out.text())
+    _emit(nf.substitute(assignments).text())
     return 0
 
 
@@ -266,6 +265,9 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     except (LambdaMismatch, StepBudgetExceeded) as exc:
         print("internal: %s" % exc, file=sys.stderr)

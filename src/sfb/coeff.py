@@ -18,8 +18,6 @@ from __future__ import annotations
 #   ('A', j, base, deg) -> A(j;base), degree deg (even), j >= 1
 GenKey = tuple
 
-_A_BASE_WHITELIST_NOTE = "base keys are 'P' or 'Z(n,r)'/'Z(n,s)'"
-
 # Inside monomials a generator is stored as its own sort key:
 #   (0, n, "")            for g_n
 #   (1, deg, "A(j;base)") for A(j;base)
@@ -60,7 +58,9 @@ def base_key_degree(base: str) -> int:
         n = int(n_text)
         if n >= 1 and flavor in ("r", "s"):
             return 2 * n
-    raise ValueError("unknown A-symbol base %r (%s)" % (base, _A_BASE_WHITELIST_NOTE))
+    raise ValueError(
+        "unknown A-symbol base %r (base keys are 'P' or 'Z(n,r)'/'Z(n,s)')" % (base,)
+    )
 
 
 def aug_symbol_key(j: int, base: str) -> GenKey:
@@ -381,6 +381,15 @@ class _Scanner:
             )
         return int(self.text[start:self.pos])
 
+    def flavor(self) -> str:
+        """One flavor letter, r or s."""
+        for fl in ("r", "s"):
+            if self.take(fl):
+                return fl
+        raise CoeffParseError(
+            "flavor must be r or s at position %d in %r" % (self.pos, self.text)
+        )
+
     def done(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
@@ -471,12 +480,7 @@ def _parse_base_key(sc: _Scanner) -> str:
     if sc.take("Z("):
         n = sc.integer()
         sc.expect(",")
-        if sc.take("r"):
-            flavor = "r"
-        elif sc.take("s"):
-            flavor = "s"
-        else:
-            raise CoeffParseError("flavor must be r or s")
+        flavor = sc.flavor()
         sc.expect(")")
         if n < 1:
             raise CoeffParseError("Z index must be >= 1")

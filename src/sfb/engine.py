@@ -28,8 +28,10 @@ import random
 
 from .coeff import CoeffElement, ONE, ZERO, cp
 from .phi import (
+    Combination,
     PhiElement,
     leading_term,
+    mono_json,
     neg_lex_key,
     to_z_basis,
     z_maxnorm_key,
@@ -59,19 +61,6 @@ class StepBudgetExceeded(RuntimeError):
 
 class LambdaMismatch(RuntimeError):
     """Normalization produced a different localized image than the input."""
-
-
-def _add_scaled(acc: dict, terms: dict, c: CoeffElement) -> None:
-    """acc += c * terms, in place, on maps key -> nonzero CoeffElement."""
-    for key, v in terms.items():
-        v = c * v
-        s = acc.get(key)
-        if s is not None:
-            v = s + v
-        if v.terms:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
 
 
 # --- generator atoms ------------------------------------------------------
@@ -207,23 +196,21 @@ def bm_is_legal(bm: tuple) -> bool:
 # --- normal forms -------------------------------------------------------
 
 
-class NormalForm:
+class NormalForm(Combination):
     """Sparse map basis monomial -> coefficient, with cached views."""
 
-    __slots__ = ("terms", "_lambda", "_aug")
+    __slots__ = ("_lambda", "_aug")
+    _key_degree = staticmethod(bm_degree)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for bm, c in dict(terms).items():
-                if not c.is_zero():
-                    self.terms[bm] = c
+        super().__init__(terms)
         self._lambda = None
         self._aug = None
 
-    @staticmethod
-    def zero() -> "NormalForm":
-        return NormalForm()
+    def add_scaled(self, other, c):
+        # an in-place update invalidates the cached views
+        self._lambda = self._aug = None
+        super().add_scaled(other, c)
 
     @staticmethod
     def unit(c=ONE) -> "NormalForm":
@@ -236,47 +223,6 @@ class NormalForm:
         if isinstance(c, int):
             c = CoeffElement.integer(c)
         return NormalForm({bm: c})
-
-    def __add__(self, other: "NormalForm") -> "NormalForm":
-        out = dict(self.terms)
-        for bm, c in other.terms.items():
-            s = out.get(bm, ZERO) + c
-            if s.is_zero():
-                out.pop(bm, None)
-            else:
-                out[bm] = s
-        return NormalForm(out)
-
-    def __neg__(self):
-        return NormalForm({bm: -c for bm, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "NormalForm":
-        if isinstance(c, int):
-            c = CoeffElement.integer(c)
-        if c.is_zero():
-            return NormalForm()
-        return NormalForm({bm: c * v for bm, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> set:
-        out = set()
-        for bm, c in self.terms.items():
-            d = bm_degree(bm)
-            out.update(d + cd for cd in c.degrees())
-        return out
 
     def to_term(self) -> tuple:
         if not self.terms:
@@ -307,7 +253,7 @@ class NormalForm:
         is built once per call from that of its inner word, and the
         image of each multiset m once per call from its atoms."""
         if self._lambda is None or self._lambda[0] != convention:
-            words, multisets, acc = {}, {(): PhiElement.one()}, {}
+            words, multisets, acc = {}, {(): PhiElement.one()}, PhiElement()
 
             def word_image(i, j, x):
                 lam = words.get((i, j, x))
@@ -330,8 +276,8 @@ class NormalForm:
                     for a in m:
                         lam_m = lam_m * lambda_term(atom_term(a), convention)
                     multisets[m] = lam_m
-                _add_scaled(acc, (word_image(i, j, x) * lam_m).terms, c)
-            self._lambda = (convention, PhiElement(acc))
+                acc.add_scaled(word_image(i, j, x) * lam_m, c)
+            self._lambda = (convention, acc)
         return self._lambda[1]
 
     def aug(self) -> CoeffElement:
@@ -365,9 +311,9 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
     if tag == "bar":
         return PhiElement.const(AUG.aug(t[1]))
     if tag == "sum":
-        acc = PhiElement.zero()
+        acc = PhiElement()
         for s in t[1]:
-            acc = acc + lambda_term(s, convention)
+            acc.add_scaled(lambda_term(s, convention), ONE)
         return acc
     if tag == "prod":
         acc = PhiElement.one()
@@ -423,14 +369,9 @@ class GammaEngine:
         outside = lam.project_C()
         if outside.is_zero():
             return True, None
-        for m, c in sorted(outside.terms.items()):
-            for d in sorted(c.degrees()):
-                comp = c.homogeneous_component(d)
-                if not comp.has_aug_symbols():
-                    cert = {"a": m[0], "b": m[1],
-                            "xs": [[n, fl] for n, fl in m[2]],
-                            "coeff": str(comp)}
-                    return False, cert
+        found = outside.first_symbol_free_part()
+        if found is not None:
+            return False, dict(mono_json(found[0]), coeff=str(found[1]))
         return "unknown", {"pending": sorted(
             aug_symbol_texts(outside)), "projection": str(outside)}
 
@@ -454,9 +395,9 @@ class GammaEngine:
             children = list(t[1])
             if rng is not None:
                 rng.shuffle(children)
-            acc = NormalForm.zero()
+            acc = NormalForm()
             for s in children:
-                acc = acc + self._eval(s, rng)
+                acc.add_scaled(self._eval(s, rng), ONE)
             return acc
         if tag == "prod":
             children = list(t[1])
@@ -471,17 +412,17 @@ class GammaEngine:
     # -- bilinear layers ----------------------------------------------------
 
     def nf_gamma_elem(self, flavor: str, nf: NormalForm) -> NormalForm:
-        acc = {}
+        acc = NormalForm()
         for bm, c in nf.terms.items():
-            _add_scaled(acc, self.nf_gamma(flavor, bm).terms, c)
-        return NormalForm(acc)
+            acc.add_scaled(self.nf_gamma(flavor, bm), c)
+        return acc
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        acc = {}
+        acc = NormalForm()
         for bm1, c1 in a.terms.items():
             for bm2, c2 in b.terms.items():
-                _add_scaled(acc, self.nf_mul(bm1, bm2).terms, c1 * c2)
-        return NormalForm(acc)
+                acc.add_scaled(self.nf_mul(bm1, bm2), c1 * c2)
+        return acc
 
     def _tick(self):
         self._steps += 1
@@ -611,10 +552,10 @@ class GammaEngine:
 
     def _fold_atoms(self, nf: NormalForm, atoms: tuple) -> NormalForm:
         for a in atoms:
-            acc = {}
+            acc = NormalForm()
             for bm, c in nf.terms.items():
-                _add_scaled(acc, self._mul_bm_atom(bm, a).terms, c)
-            nf = NormalForm(acc)
+                acc.add_scaled(self._mul_bm_atom(bm, a), c)
+            nf = acc
         return nf
 
     def _mul_bm_atom(self, bm: tuple, atom: tuple) -> NormalForm:
@@ -932,10 +873,6 @@ def random_term(rng: random.Random, depth: int = 3, max_z: int = 5) -> tuple:
     return random_term(rng, depth - 1, max_z)
 
 
-def _lam(t, convention="same"):
-    return lambda_term(t, convention)
-
-
 def verify_relations(samples: int = 200, seed: int = 0, convention: str = "same") -> dict:
     """Check the defining identities under the localization map on random
     instances.  The reordering identity is checked with both flavors of
@@ -957,14 +894,14 @@ def verify_relations(samples: int = 200, seed: int = 0, convention: str = "same"
     for k in range(samples):
         x = random_term(rng, depth=3, max_z=5)
         y = random_term(rng, depth=2, max_z=5)
-        lam_x = _lam(x, convention)
-        lam_y = _lam(y, convention)
+        lam_x = lambda_term(x, convention)
+        lam_y = lambda_term(y, convention)
         xbar = PhiElement.const(AUG.aug(x))
         ybar = PhiElement.const(AUG.aug(y))
         for flavor in ("r", "s"):
             e = PhiElement.euler(flavor, 1)
-            gx = _lam(t_gamma(flavor, x), convention)
-            gy = _lam(t_gamma(flavor, y), convention)
+            gx = lambda_term(t_gamma(flavor, x), convention)
+            gy = lambda_term(t_gamma(flavor, y), convention)
             # e_V * G_V(x) = x - bar x
             if (e * gx - (lam_x - xbar)).is_zero():
                 checks["divide_multiply"] += 1
@@ -976,7 +913,7 @@ def verify_relations(samples: int = 200, seed: int = 0, convention: str = "same"
             else:
                 failures.append(("exchange", flavor, k))
             # G_V(e_V x) = x
-            gex = _lam(t_gamma(flavor, t_prod(t_euler(flavor), x)), convention)
+            gex = lambda_term(t_gamma(flavor, t_prod(t_euler(flavor), x)), convention)
             if (gex - lam_x).is_zero():
                 checks["multiply_divide"] += 1
             else:
@@ -987,14 +924,14 @@ def verify_relations(samples: int = 200, seed: int = 0, convention: str = "same"
             else:
                 failures.append(("euler_vanishes", flavor, k))
             # G_V(xy) = G_V(x) y + bar(x) G_V(y)
-            gxy = _lam(t_gamma(flavor, t_prod(x, y)), convention)
+            gxy = lambda_term(t_gamma(flavor, t_prod(x, y)), convention)
             if (gxy - (gx * lam_y + gy.scale(AUG.aug(x)))).is_zero():
                 checks["product_formula"] += 1
             else:
                 failures.append(("product_formula", flavor, k))
         # G_s(y) = P (y - bar y) - G_r(y)
-        lhs = _lam(t_gamma("s", y), convention)
-        rhs = _lam(p_term, convention) * (lam_y - ybar) - _lam(
+        lhs = lambda_term(t_gamma("s", y), convention)
+        rhs = lambda_term(p_term, convention) * (lam_y - ybar) - lambda_term(
             t_gamma("r", y), convention
         )
         if (lhs - rhs).is_zero():
@@ -1002,9 +939,9 @@ def verify_relations(samples: int = 200, seed: int = 0, convention: str = "same"
         else:
             failures.append(("flavor_swap", None, k))
         # reordering: G_s G_r(x) = G_r G_s(x) + bar(G_s x) P
-        lam_p = _lam(p_term, convention)
-        sr = _lam(t_gamma("s", t_gamma("r", x)), convention)
-        rs = _lam(t_gamma("r", t_gamma("s", x)), convention)
+        lam_p = lambda_term(p_term, convention)
+        sr = lambda_term(t_gamma("s", t_gamma("r", x)), convention)
+        rs = lambda_term(t_gamma("r", t_gamma("s", x)), convention)
         corrected = sr - rs - lam_p.scale(AUG.aug(t_gamma("s", x)))
         if corrected.is_zero():
             checks["reorder_corrected"] += 1
@@ -1017,9 +954,9 @@ def verify_relations(samples: int = 200, seed: int = 0, convention: str = "same"
             literal_nonzero += 1
     # fixed witness: the r-flavored coefficient fails already on x = e_s
     e_s = t_euler("s")
-    sr = _lam(t_gamma("s", t_gamma("r", e_s)), convention)
-    rs = _lam(t_gamma("r", t_gamma("s", e_s)), convention)
-    lam_p = _lam(p_term, convention)
+    sr = lambda_term(t_gamma("s", t_gamma("r", e_s)), convention)
+    rs = lambda_term(t_gamma("r", t_gamma("s", e_s)), convention)
+    lam_p = lambda_term(p_term, convention)
     witness_literal = sr - rs - lam_p.scale(AUG.aug(t_gamma("r", e_s)))
     witness_corrected = sr - rs - lam_p.scale(AUG.aug(t_gamma("s", e_s)))
     return {

@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import comb
 
 from .coeff import CoeffElement, _Scanner
-from .phi import PhiElement, z_gen
+from .phi import PhiElement, mono_json, z_gen
 from .terms import t_gamma, t_int, t_prod, t_sum, t_zgen
 from .engine import AUG
 
@@ -107,9 +107,9 @@ def lambda_manifold(m: tuple, convention: str = "same") -> PhiElement:
     if tag == "pt":
         return PhiElement.one()
     if tag == "union":
-        acc = PhiElement.zero()
+        acc = PhiElement()
         for w, sub in m[1]:
-            acc = acc + lambda_manifold(sub, convention).scale(w)
+            acc.add_scaled(lambda_manifold(sub, convention), w)
         return acc
     if tag == "prod":
         acc = PhiElement.one()
@@ -191,10 +191,9 @@ def fixed_data(m: tuple) -> dict:
 
 def lambda_fixed(data: dict) -> PhiElement:
     """Localized image of isolated data: sum of w * e_r^-k e_s^-l."""
-    acc = PhiElement.zero()
-    for (k, l), w in data.items():
-        acc = acc + PhiElement({(-k, -l, ()): CoeffElement.integer(w)})
-    return acc
+    return PhiElement(
+        {(-k, -l, ()): CoeffElement.integer(w) for (k, l), w in data.items()}
+    )
 
 
 def fixed_data_to_json(data: dict) -> dict:
@@ -267,35 +266,27 @@ def realize(data: dict) -> dict:
 
 def realize_iterative(data: dict) -> dict:
     """Same decision by the inductive subtraction: strip a_0 copies of
-    the n-th sphere power, multiply by e_s to drop the degree, recurse;
-    degree-0 data is a bare integer."""
-
-    def decide(x: dict, n: int):
-        if n == 0:
-            extra = [kl for kl in x if kl != (0, 0)]
-            if extra:
-                return False, 0
-            return True, x.get((0, 0), 0)
-        a0 = x.get((n, 0), 0)
-        y = {}
-        for i in range(n + 1):
-            w = x.get((n - i, i), 0) - a0 * comb(n, i)
-            if w:
-                y[(n - i, i)] = w
-        if (n, 0) in y:
-            return False, a0
-        shifted = {(k, l - 1): w for (k, l), w in y.items()}
-        ok, rest = decide(shifted, n - 1)
-        return ok and rest == 0, a0
-
+    the n-th sphere power, multiply by e_s to drop the degree, and
+    repeat down to degree 0.  Below degree n nothing may be left to
+    strip; degree-0 data is a bare integer.  A loop, not a recursion,
+    so the depth of the stack does not bound the degree."""
     by_degree = {}
     for (k, l), w in data.items():
         by_degree.setdefault(k + l, {})[(k, l)] = w
     decomposition = []
     for n in sorted(by_degree):
-        ok, mult = decide(by_degree[n], n)
-        if not ok:
-            return {"realizable": False, "witness": {"degree": n}}
+        x = by_degree[n]
+        mult = x.get((n, 0), 0)
+        for level in range(n, -1, -1):
+            a0 = x.get((level, 0), 0)
+            if a0 and level < n:
+                return {"realizable": False, "witness": {"degree": n}}
+            y = {}
+            for i in range(1, level + 1):
+                w = x.get((level - i, i), 0) - a0 * comb(level, i)
+                if w:
+                    y[(level - i, i - 1)] = w
+            x = y
         if mult:
             decomposition.append({"multiplicity": mult, "power": n})
     return {"realizable": True, "decomposition": decomposition}
@@ -303,9 +294,9 @@ def realize_iterative(data: dict) -> dict:
 
 def decomposition_lambda(decomposition: list) -> PhiElement:
     sphere = z_gen(1, "r")
-    acc = PhiElement.zero()
+    acc = PhiElement()
     for entry in decomposition:
-        acc = acc + (sphere ** entry["power"]).scale(entry["multiplicity"])
+        acc.add_scaled(sphere ** entry["power"], entry["multiplicity"])
     return acc
 
 
@@ -319,15 +310,9 @@ def check_cobordant(m1: tuple, m2: tuple, convention: str = "same"):
     diff = lambda_manifold(m1, convention) - lambda_manifold(m2, convention)
     if diff.is_zero():
         return True, None
-    for mono, c in sorted(diff.terms.items()):
-        for d in sorted(c.degrees()):
-            comp = c.homogeneous_component(d)
-            if not comp.has_aug_symbols():
-                return False, {
-                    "monomial": {"a": mono[0], "b": mono[1],
-                                 "xs": [[n, fl] for n, fl in mono[2]]},
-                    "coeff": str(comp),
-                }
+    found = diff.first_symbol_free_part()
+    if found is not None:
+        return False, {"monomial": mono_json(found[0]), "coeff": str(found[1])}
     return "unknown", {"difference": str(diff)}
 
 
@@ -406,12 +391,7 @@ def _parse_matom(sc: _Scanner) -> tuple:
     if sc.take("P("):
         n = sc.integer()
         sc.expect(",")
-        if sc.take("r"):
-            flavor = "r"
-        elif sc.take("s"):
-            flavor = "s"
-        else:
-            raise ManifoldParseError("flavor must be r or s at position %d" % sc.pos)
+        flavor = sc.flavor()
         sc.expect(")")
         if n < 1:
             raise ManifoldParseError("index >= 1 required")

@@ -13,13 +13,16 @@ the geometric subring F (no positive Euler powers) and its complement
 are monomial-local.  The Z-presentation replaces X(n,V) by
 Z(n+1,V) - e_V^-(n+1); it is the convenient view for leading-term
 certification.
+
+``Combination`` holds the sparse key -> coefficient algebra that both
+presentations share with the engine's normal forms.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from .coeff import CoeffElement, ONE, ZERO
+from .coeff import CoeffElement, ONE
 
 
 Flavor = str  # 'r' or 's'
@@ -58,23 +61,125 @@ def mono_degree(m: tuple) -> int:
     return -2 * m[0] - 2 * m[1] + sum(2 * n + 2 for n, _ in m[2])
 
 
-class PhiElement:
-    """Sparse map monomial -> CoeffElement, zero values pruned."""
+class Combination:
+    """Sparse map key -> nonzero CoeffElement, the algebra shared by the
+    localized images and the normal forms.
+
+    Subclasses name their key degree in ``_key_degree``.  Instances are
+    treated as immutable once built; only ``add_scaled`` changes one in
+    place, for accumulators still being built.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            for m, c in dict(terms).items():
-                if not c.is_zero():
-                    self.terms[m] = c
+            for k, c in dict(terms).items():
+                if c.terms:
+                    self.terms[k] = c
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def add_scaled(self, other, c):
+        """self += c * other, in place; c is a CoeffElement or an int."""
+        acc = self.terms
+        for k, v in other.terms.items():
+            v = c * v
+            s = acc.get(k)
+            if s is not None:
+                v = s + v
+            if v.terms:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+
+    def __add__(self, other):
+        out = type(self)(self.terms)
+        out.add_scaled(other, 1)
+        return out
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if isinstance(c, int):
+            c = CoeffElement.integer(c)
+        if c.is_zero():
+            return type(self)()
+        return type(self)({k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # --- grading ----------------------------------------------------------
+
+    def degrees(self) -> set:
+        out = set()
+        for k, c in self.terms.items():
+            kd = self._key_degree(k)
+            out.update(kd + cd for cd in c.degrees())
+        return out
+
+    def is_homogeneous(self) -> bool:
+        return len(self.degrees()) <= 1
+
+    def degree(self):
+        ds = self.degrees()
+        if not ds:
+            return None
+        if len(ds) > 1:
+            raise ValueError("inhomogeneous element has no degree: %s" % self)
+        return ds.pop()
+
+    # --- A-symbols ----------------------------------------------------------
+
+    def aug_symbols(self) -> list:
+        seen = set()
+        for c in self.terms.values():
+            seen.update(c.aug_symbols())
+        return sorted(seen, key=lambda k: (k[3], k[1], k[2]))
+
+    def has_aug_symbols(self) -> bool:
+        return any(c.has_aug_symbols() for c in self.terms.values())
+
+    def substitute(self, assignments: dict):
+        return type(self)(
+            {k: c.substitute(assignments) for k, c in self.terms.items()}
+        )
+
+
+class PhiElement(Combination):
+    """Laurent polynomial in e_r, e_s and the X-generators."""
+
+    __slots__ = ()
+    _letter = "X"
+    _key_degree = staticmethod(mono_degree)
+
+    # The per-layer tracer of the bench harness wraps these operators in
+    # this class's own namespace, so the inherited ones are bound here.
+    __add__ = Combination.__add__
+    __neg__ = Combination.__neg__
+    __sub__ = Combination.__sub__
+    scale = Combination.scale
 
     # --- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero() -> "PhiElement":
-        return PhiElement()
 
     @staticmethod
     def one() -> "PhiElement":
@@ -99,23 +204,7 @@ class PhiElement:
 
     # --- ring structure ---------------------------------------------------
 
-    def __add__(self, other: "PhiElement") -> "PhiElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return PhiElement(out)
-
-    def __neg__(self):
-        return PhiElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "PhiElement") -> "PhiElement":
+    def __mul__(self, other):
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -128,14 +217,7 @@ class PhiElement:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        return PhiElement(out)
-
-    def scale(self, c) -> "PhiElement":
-        if isinstance(c, int):
-            c = CoeffElement.integer(c)
-        if c.is_zero():
-            return PhiElement()
-        return PhiElement({m: c * v for m, v in self.terms.items()})
+        return type(self)(out)
 
     def __pow__(self, n: int) -> "PhiElement":
         if n < 0:
@@ -148,40 +230,6 @@ class PhiElement:
             base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, PhiElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # --- grading ----------------------------------------------------------
-
-    def degrees(self) -> set:
-        out = set()
-        for m, c in self.terms.items():
-            md = mono_degree(m)
-            out.update(md + cd for cd in c.degrees())
-        return out
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self):
-        ds = self.degrees()
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError("inhomogeneous element has no degree: %s" % self)
-        return ds.pop()
 
     def homogeneous_component(self, d: int) -> "PhiElement":
         if d % 2:
@@ -206,34 +254,29 @@ class PhiElement:
             {m: c for m, c in self.terms.items() if m[0] > 0 or m[1] > 0}
         )
 
-    # --- bookkeeping ------------------------------------------------------
-
-    def aug_symbols(self) -> list:
-        seen = set()
-        for c in self.terms.values():
-            seen.update(c.aug_symbols())
-        return sorted(seen, key=lambda k: (k[3], k[1], k[2]))
-
-    def has_aug_symbols(self) -> bool:
-        return any(c.has_aug_symbols() for c in self.terms.values())
-
-    def substitute(self, assignments: dict) -> "PhiElement":
-        return PhiElement(
-            {m: c.substitute(assignments) for m, c in self.terms.items()}
-        )
+    def first_symbol_free_part(self):
+        """(monomial, coefficient part) for the first nonzero homogeneous
+        part of a coefficient that carries no A-symbols, in monomial then
+        degree order; None if every part carries A-symbols.  Such a part
+        is a definite obstruction, whatever values the symbols take."""
+        for m, c in sorted(self.terms.items()):
+            for d in sorted(c.degrees()):
+                part = c.homogeneous_component(d)
+                if not part.has_aug_symbols():
+                    return m, part
+        return None
 
     # --- rendering ----------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = [_term_text(m, c) for m, c in sorted(self.terms.items())]
+        parts = [
+            _term_text(m, c, self._letter) for m, c in sorted(self.terms.items())
+        ]
         text = parts[0]
         for p in parts[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
+            text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
         return text
 
     def __repr__(self):
@@ -241,25 +284,23 @@ class PhiElement:
 
     def to_json(self) -> list:
         return [
-            {"a": m[0], "b": m[1], "xs": [[n, fl] for n, fl in m[2]], "coeff": str(c)}
-            for m, c in sorted(self.terms.items())
+            dict(mono_json(m), coeff=str(c)) for m, c in sorted(self.terms.items())
         ]
 
 
-def _mono_text(m: tuple) -> str:
-    a, b, xs = m
+def mono_json(m: tuple) -> dict:
+    return {"a": m[0], "b": m[1], "xs": [[n, fl] for n, fl in m[2]]}
+
+
+def _term_text(m: tuple, c: CoeffElement, letter: str) -> str:
+    a, b, gens = m
     factors = []
     if a:
         factors.append("e_r" if a == 1 else "e_r^%d" % a)
     if b:
         factors.append("e_s" if b == 1 else "e_s^%d" % b)
-    for n, flavor in xs:
-        factors.append("X(%d,%s)" % (n, flavor))
-    return "*".join(factors)
-
-
-def _term_text(m: tuple, c: CoeffElement) -> str:
-    body = _mono_text(m)
+    factors.extend("%s(%d,%s)" % (letter, n, fl) for n, fl in gens)
+    body = "*".join(factors)
     ctext = str(c)
     if not body:
         return ctext if len(c.terms) == 1 else "(%s)" % ctext
@@ -299,105 +340,33 @@ def z_gen(n: int, flavor: Flavor, convention: str = "same") -> PhiElement:
 # --- Z-presentation ----------------------------------------------------
 
 
-class ZElement:
+class ZElement(Combination):
     """Same ring, generators e_r, e_s, Z(n,V) for n >= 2.
 
     Monomials are (a, b, zs) with zs a sorted tuple of (n, flavor),
-    n >= 2.  Only the operations needed by the change of presentation
-    and by leading-term certification are provided.
+    n >= 2.  The product and the text are PhiElement's; the X-only views
+    (F membership, homogeneous parts, JSON) are not offered.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in dict(terms).items():
-                if not c.is_zero():
-                    self.terms[m] = c
+    __slots__ = ()
+    _letter = "Z"
+    __mul__ = PhiElement.__mul__
+    __str__ = PhiElement.__str__
 
     @staticmethod
-    def one() -> "ZElement":
-        return ZElement({(0, 0, ()): ONE})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return ZElement(out)
-
-    def __neg__(self):
-        return ZElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], tuple(sorted(m1[2] + m2[2])))
-                s = out.get(m, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return ZElement(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            a, b, zs = m
-            factors = []
-            if a:
-                factors.append("e_r" if a == 1 else "e_r^%d" % a)
-            if b:
-                factors.append("e_s" if b == 1 else "e_s^%d" % b)
-            factors.extend("Z(%d,%s)" % (n, fl) for n, fl in zs)
-            parts.append(_term_text_generic("*".join(factors), c))
-        text = parts[0]
-        for p in parts[1:]:
-            text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return text
-
-
-def _term_text_generic(body: str, c: CoeffElement) -> str:
-    ctext = str(c)
-    if not body:
-        return ctext if len(c.terms) == 1 else "(%s)" % ctext
-    if c == ONE:
-        return body
-    if c == CoeffElement.integer(-1):
-        return "-" + body
-    if len(c.terms) == 1:
-        return "%s*%s" % (ctext, body)
-    return "(%s)*%s" % (ctext, body)
+    def _key_degree(m: tuple) -> int:
+        return -2 * m[0] - 2 * m[1] + sum(2 * n for n, _ in m[2])
 
 
 def to_z_basis(p: PhiElement) -> ZElement:
     """Rewrite X(n,V) as Z(n+1,V) - e_V^-(n+1); Euler classes unchanged."""
     out = ZElement()
     for (a, b, xs), c in p.terms.items():
-        piece = ZElement({(a, b, ()): c})
+        piece = ZElement({(a, b, ()): ONE})
         for n, flavor in xs:
             pole = (-(n + 1), 0, ()) if flavor == "r" else (0, -(n + 1), ())
-            factor = ZElement({(0, 0, ((n + 1, flavor),)): ONE, pole: -ONE})
-            piece = piece * factor
-        out = out + piece
+            piece = piece * ZElement({(0, 0, ((n + 1, flavor),)): ONE, pole: -ONE})
+        out.add_scaled(piece, c)
     return out
 
 
@@ -405,12 +374,11 @@ def from_z_basis(z: ZElement) -> PhiElement:
     """Rewrite Z(n,V) as X(n-1,V) + e_V^-n; inverse of to_z_basis."""
     out = PhiElement()
     for (a, b, zs), c in z.terms.items():
-        piece = PhiElement({(a, b, ()): c})
+        piece = PhiElement({(a, b, ()): ONE})
         for n, flavor in zs:
             pole = mono(-n, 0) if flavor == "r" else (0, -n, ())
-            factor = PhiElement({mono(0, 0, [(n - 1, flavor)]): ONE, pole: ONE})
-            piece = piece * factor
-        out = out + piece
+            piece = piece * PhiElement({mono(0, 0, [(n - 1, flavor)]): ONE, pole: ONE})
+        out.add_scaled(piece, c)
     return out
 
 

@@ -302,12 +302,7 @@ def _parse_atom(sc: _Scanner) -> tuple:
     if sc.take("Z("):
         n = sc.integer()
         sc.expect(",")
-        if sc.take("r"):
-            flavor = "r"
-        elif sc.take("s"):
-            flavor = "s"
-        else:
-            raise TermParseError("flavor must be r or s at position %d" % sc.pos)
+        flavor = sc.flavor()
         sc.expect(")")
         return t_zgen(n, flavor)
     if sc.peek() == "(":

@@ -247,10 +247,16 @@ def test_parse_errors_exit_2(capsys):
         ["subst", '{"g1": "g2"}', "e_r"],
         ["subst", '{"A(1;P)": "g1"}', "e_r"],
         ["lambda", "e_r e_s"],
+        ["lambda", "Z(2,q)"],
+        ["lambda", "sigma(A(1;Z(2,q)))"],
+        ["normalize", "G_r(" * 3000 + "e_r" + ")" * 3000],
+        ["lambda", "(" * 3000 + "e_r" + ")" * 3000],
+        ["realize", '{"points": ' + "[" * 3000 + "]" * 3000 + "}"],
     ):
         code = main(argv)
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 2, argv
+        assert "Traceback" not in captured.err, argv
 
 
 @pytest.mark.parametrize(

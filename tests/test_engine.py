@@ -188,6 +188,26 @@ def test_normal_form_vector_ops(engine):
     assert a.scale(0).is_zero()
     assert (a - a).is_zero()
     assert a.scale(cp(1)).lambda_image() == a.lambda_image().scale(cp(1))
+    # each result is a fresh NormalForm: no cached view of a part leaks
+    a = engine.normalize(parse_term("G_r(G_s(e_r))^2 + Z(2,s)"))
+    b = engine.normalize(parse_term("sigma(g1)*G_s(Z(3,r)) - e_s"))
+    la, lb = a.lambda_image(), b.lambda_image()
+    a.aug()
+    for nf, image in (
+        (a + b, la + lb),
+        (a - b, la - lb),
+        (-a, -la),
+        (a.scale(cp(2)), la.scale(cp(2))),
+        (a.scale(-3), la.scale(-3)),
+    ):
+        assert type(nf) is NormalForm
+        assert nf.lambda_image() == image
+    assert (a + b).aug() == a.aug() + b.aug()
+    # an in-place update drops the views cached before it
+    acc = NormalForm()
+    acc.lambda_image()
+    acc.add_scaled(a, cp(1))
+    assert acc.lambda_image() == la.scale(cp(1))
 
 
 def test_bar_inside_engine(engine):

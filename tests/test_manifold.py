@@ -1,4 +1,5 @@
 import random
+import sys
 from math import comb
 
 import pytest
@@ -137,6 +138,26 @@ def test_iterative_agrees_on_random_vectors():
         assert a["realizable"] == b["realizable"]
         if a["realizable"]:
             assert a["decomposition"] == b["decomposition"]
+
+
+def test_iterative_decides_degrees_beyond_the_recursion_limit():
+    n = 400
+    data = fixed_data(m_union((3, sphere_power(n)), (-2, m_point())))
+    perturbed = dict(data)
+    perturbed[(n - 7, 7)] += 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n // 2)
+    try:
+        for d in (data, perturbed):
+            a, b = realize(d), realize_iterative(d)
+            assert a["realizable"] == b["realizable"] == (d is data)
+        assert b["witness"] == {"degree": n}
+        assert realize_iterative(data)["decomposition"] == [
+            {"multiplicity": -2, "power": 0},
+            {"multiplicity": 3, "power": n},
+        ]
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_decomposition_lambda():

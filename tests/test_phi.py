@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfb.coeff import aug_symbol, aug_symbol_key, cp
+from sfb.coeff import CoeffElement, aug_symbol, aug_symbol_key, cp
 from sfb.phi import (
     PhiElement,
     from_z_basis,
@@ -124,6 +124,29 @@ def _phi_strategy():
 @settings(max_examples=150, deadline=None)
 def test_z_presentation_round_trip(p):
     assert from_z_basis(to_z_basis(p)) == p
+
+
+def test_z_presentation_text_is_pinned():
+    # mixed X/pole element; both texts were recorded before PhiElement and
+    # ZElement shared their algebra and monomial renderer
+    p = (
+        PhiElement({mono(-1, 0, [(1, "r"), (2, "s")]): cp(1)})
+        + PhiElement({mono(0, 2): CoeffElement.integer(3)})
+        + PhiElement({mono(0, -1, [(1, "s")]): cp(2) - aug_symbol(1, "P")})
+        - PhiElement.x_gen(2, "r")
+    )
+    assert str(p) == (
+        "g1*e_r^-1*X(1,r)*X(2,s) + (g2 - A(1;P))*e_s^-1*X(1,s) - X(2,r) + 3*e_s^2"
+    )
+    z = to_z_basis(p)
+    assert str(z) == (
+        "g1*e_r^-3*e_s^-3 + e_r^-3 - g1*e_r^-3*Z(3,s) - g1*e_r^-1*e_s^-3*Z(2,r)"
+        " + g1*e_r^-1*Z(2,r)*Z(3,s) + (-g2 + A(1;P))*e_s^-3"
+        " + (g2 - A(1;P))*e_s^-1*Z(2,s) - Z(3,r) + 3*e_s^2"
+    )
+    # Z(n,V) has degree 2n, X(n,V) degree 2n + 2
+    assert z.degrees() == p.degrees() == {-4, 6, 10, 14}
+    assert not hasattr(z, "is_in_F") and not hasattr(z, "to_json")
 
 
 def test_z_presentation_of_generators():
