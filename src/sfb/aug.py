@@ -85,8 +85,11 @@ class AugEnv:
         if tag == "prod":
             if not t[1]:
                 return ONE if j == 0 else ZERO
-            w, rest = t[1][0], t[1][1:]
-            z = rest[0] if len(rest) == 1 else ("prod", rest)
+            # the rule holds for any split; halving keeps the recursion
+            # depth logarithmic in the number of factors (aug_power
+            # canonicalizes a one-factor product to its factor)
+            h = len(t[1]) // 2
+            w, z = ("prod", t[1][:h]), ("prod", t[1][h:])
             acc = ZERO
             for k in range(j + 1):
                 left = self.aug_power(k, w)

@@ -4,7 +4,7 @@ stdout carries data (JSON), stderr carries diagnostics.  Exit codes:
 0 success / true / realizable; 1 false / rejected / undecided;
 2 parse or validation error, or input nested too deeply; 3 internal
 consistency failure (the localized-image cross-check or the rewrite
-step budget)."""
+step budget) or any other unexpected exception."""
 
 from __future__ import annotations
 
@@ -183,6 +183,14 @@ def cmd_subst(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """argparse type for counts: a negative count would pass vacuously."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfb",
@@ -231,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=what)
         p.add_argument("--degree", type=int, default=12)
         p.add_argument("--variant", choices=VARIANTS, default="musf")
-        p.add_argument("--truncation", type=int, default=6)
+        p.add_argument("--truncation", type=count, default=6)
         if name == "certify":
             p.add_argument("--order", choices=("z_maxnorm", "neg_lex"), default="z_maxnorm")
             p.add_argument("--inject-duplicate", action="store_true")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check the defining identities")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -271,6 +279,10 @@ def main(argv=None) -> int:
         return 2
     except (LambdaMismatch, StepBudgetExceeded) as exc:
         print("internal: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # exit 1 means a definite "no"; an unforeseen fault must not read so
+        print("internal: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
 
 

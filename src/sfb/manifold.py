@@ -269,24 +269,40 @@ def realize_iterative(data: dict) -> dict:
     the n-th sphere power, multiply by e_s to drop the degree, and
     repeat down to degree 0.  Below degree n nothing may be left to
     strip; degree-0 data is a bare integer.  A loop, not a recursion,
-    so the depth of the stack does not bound the degree."""
+    so the depth of the stack does not bound the degree.
+
+    Only nonzero work is done: the one row that is stripped (at level
+    n) is built by a running product, every other level just shifts
+    the residual, and a degree is done once its residual is empty."""
     by_degree = {}
     for (k, l), w in data.items():
-        by_degree.setdefault(k + l, {})[(k, l)] = w
+        if w:
+            by_degree.setdefault(k + l, {})[(k, l)] = w
     decomposition = []
     for n in sorted(by_degree):
         x = by_degree[n]
         mult = x.get((n, 0), 0)
         for level in range(n, -1, -1):
-            a0 = x.get((level, 0), 0)
-            if a0 and level < n:
-                return {"realizable": False, "witness": {"degree": n}}
-            y = {}
-            for i in range(1, level + 1):
-                w = x.get((level - i, i), 0) - a0 * comb(level, i)
-                if w:
-                    y[(level - i, i - 1)] = w
-            x = y
+            if not x:
+                break
+            a0 = x.pop((level, 0), 0)
+            if a0:
+                if level < n:
+                    return {"realizable": False, "witness": {"degree": n}}
+                # c = a0 * binomial(level, i); the division is exact for
+                # either sign of a0
+                c = a0
+                for i in range(1, level + 1):
+                    c = c * (level - i + 1) // i
+                    key = (level - i, i)
+                    w = x.get(key, 0) - c
+                    if w:
+                        x[key] = w
+                    else:
+                        x.pop(key, None)
+            # (level, 0) is gone, so every slot left has l >= 1:
+            # multiply by e_s
+            x = {(k, l - 1): w for (k, l), w in x.items()}
         if mult:
             decomposition.append({"multiplicity": mult, "power": n})
     return {"realizable": True, "decomposition": decomposition}

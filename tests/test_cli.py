@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import sfb
+import sfb.cli
 from sfb.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -257,6 +258,45 @@ def test_parse_errors_exit_2(capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert "Traceback" not in captured.err, argv
+
+
+def test_flat_powers_are_not_deep(capsys):
+    # a power of 1200 factors nests two deep, not 1200
+    code, doc = run_cli(capsys, "lambda", "bar(Z(2,r)^1200)")
+    assert code == 0 and doc == "g2^1200"
+    code, doc = run_cli(capsys, "cobordant", "gamma(P(1,r)^1200)", "pt")
+    assert code == 1 and doc["cobordant"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--truncation", "-1"],
+        ["basis", "--truncation", "-1"],
+        ["verify", "--samples", "-1"],
+    ],
+    ids=["certify-truncation", "basis-truncation", "verify-samples"],
+)
+def test_negative_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("oops")
+
+    monkeypatch.setattr(sfb.cli, "cmd_lambda", broken)
+    code = main(["lambda", "e_r"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal: KeyError" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

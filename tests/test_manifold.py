@@ -1,6 +1,10 @@
+import json
+import os
 import random
+import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,7 @@ from sfb.manifold import (
     realize,
     realize_iterative,
 )
+from sfb import manifold
 from sfb.engine import lambda_term
 from sfb.phi import PhiElement, z_gen
 
@@ -158,6 +163,89 @@ def test_iterative_decides_degrees_beyond_the_recursion_limit():
         ]
     finally:
         sys.setrecursionlimit(limit)
+
+
+def dense_realize_iterative(data: dict) -> dict:
+    """Reference: the oracle's dense loop, which rebuilt every level's
+    row from ``comb``; kept to check the sparse loop against."""
+    by_degree = {}
+    for (k, l), w in data.items():
+        by_degree.setdefault(k + l, {})[(k, l)] = w
+    decomposition = []
+    for n in sorted(by_degree):
+        x = by_degree[n]
+        mult = x.get((n, 0), 0)
+        for level in range(n, -1, -1):
+            a0 = x.get((level, 0), 0)
+            if a0 and level < n:
+                return {"realizable": False, "witness": {"degree": n}}
+            y = {}
+            for i in range(1, level + 1):
+                w = x.get((level - i, i), 0) - a0 * comb(level, i)
+                if w:
+                    y[(level - i, i - 1)] = w
+            x = y
+        if mult:
+            decomposition.append({"multiplicity": mult, "power": n})
+    return {"realizable": True, "decomposition": decomposition}
+
+
+def test_sparse_oracle_matches_dense_reference(monkeypatch):
+    # the oracle stays independent of the closed form and its binomials
+    def forbidden(*args):
+        raise AssertionError("the oracle must not call realize or comb")
+
+    monkeypatch.setattr(manifold, "comb", forbidden)
+    monkeypatch.setattr(manifold, "realize", forbidden)
+    rng = random.Random(21)
+    for trial in range(20000):
+        data = {}
+        degrees = [rng.randint(0, 12) for _ in range(rng.randint(1, 3))]
+        for n in degrees:
+            mult = rng.choice((-3, -2, -1, 1, 2, 3))
+            for i in range(n + 1):
+                # repeated degrees may cancel to explicit zero weights
+                data[(n - i, i)] = data.get((n - i, i), 0) + mult * comb(n, i)
+        if trial % 2:
+            n = rng.choice(degrees)
+            i = rng.randint(0, n)
+            data[(n - i, i)] = data.get((n - i, i), 0) + rng.choice((-2, -1, 1, 2))
+        assert realize_iterative(dict(data)) == dense_realize_iterative(dict(data))
+
+
+def test_large_inputs_answer_in_a_child(tmp_path):
+    n = 1200
+    points = [
+        {"weight": comb(n, i), "rho": n - i, "rho_star": i} for i in range(n + 1)
+    ]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": points}))
+    points[7]["weight"] += 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": points}))
+    # the child imports the same sfb as this test
+    src = str(Path(manifold.__file__).resolve().parents[1])
+    paths = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    cases = (
+        (str(good), 0, {"decomposition": [{"multiplicity": 1, "power": n}]}),
+        (str(bad), 1, {"witness": {
+            "degree": n, "index": 7,
+            "expected": comb(n, 7), "actual": comb(n, 7) + 1,
+        }}),
+        ('{"points": [{"weight": 1, "rho": 40000, "rho_star": 0}]}', 1,
+         {"witness": {"degree": 40000, "index": 1, "expected": 40000, "actual": 0}}),
+    )
+    for arg, code, expected in cases:
+        out = subprocess.run(
+            [sys.executable, "-m", "sfb.cli", "realize", arg],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == code, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["realizable"] is (code == 0)
+        for field, value in expected.items():
+            assert doc[field] == value
 
 
 def test_decomposition_lambda():
