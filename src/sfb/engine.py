@@ -686,31 +686,31 @@ def _word_ok(variant: str, i: int, j: int, x: tuple, m: tuple) -> bool:
     raise ValueError("unknown basis variant %r" % (variant,))
 
 
-def _multisets(atoms, max_pos_degree, e_budget):
-    """All multisets over `atoms` (sorted ascending) whose positive-degree
-    part stays within max_pos_degree and whose e-count stays within
-    e_budget.  Yields sorted tuples."""
+def _multisets(atoms, room, e_budget):
+    """All multisets over `atoms` of degree at most `room` and with at
+    most e_budget e-atoms, as sorted tuples.  `atoms` is sorted
+    ascending: the e-atoms (degree -2) come first, each one taken widens
+    the room, and the positive atoms follow in nondecreasing degree, so
+    the first one that does not fit ends the search."""
+    out = []
 
-    def rec(idx, pos_room, e_room):
-        if idx == len(atoms):
-            yield ()
-            return
-        a = atoms[idx]
-        d = atom_degree(a)
-        if d < 0:
-            top = e_room
-        else:
-            top = pos_room // d
-        for count in range(top + 1):
-            head = (a,) * count
-            for tail in rec(
-                idx + 1,
-                pos_room - (d * count if d > 0 else 0),
-                e_room - (count if d < 0 else 0),
-            ):
-                yield head + tail
+    def rec(idx, room, e_room, head):
+        if idx < len(atoms):
+            a = atoms[idx]
+            d = atom_degree(a)
+            if d < 0:
+                for count in range(e_room + 1):
+                    rec(idx + 1, room - d * count, e_room - count, head + (a,) * count)
+                return
+            if d <= room:
+                for count in range(room // d + 1):
+                    rec(idx + 1, room - d * count, e_room, head + (a,) * count)
+                return
+        if room >= 0:
+            out.append(head)
 
-    return rec(0, max_pos_degree, e_budget)
+    rec(0, room, e_budget, ())
+    return out
 
 
 def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 4):
@@ -718,10 +718,8 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
     Euler/operator complexity fits the truncation bound."""
     n = truncation
     is_musf = variant.startswith("musf")
-    max_pos = degree_bound + (2 * n if is_musf else 0)
-    atoms = _variant_atoms(variant, max_pos)
+    atoms = _variant_atoms(variant, degree_bound + (2 * n if is_musf else 0))
     out = [UNIT]
-    seen = {UNIT}
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for x_idx, x in enumerate(atoms):
@@ -729,37 +727,62 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
                 if base_cost > n:
                     continue
                 word = (i, j) != (0, 0)
+                room = degree_bound - 2 * (i + j) - atom_degree(x)
                 for m in _multisets(
-                    atoms[x_idx:], max_pos, n - base_cost if is_musf else n
+                    atoms[x_idx:], room, n - base_cost if is_musf else n
                 ):
-                    bm = (i, j, x, m)
-                    if bm_degree(bm) > degree_bound:
-                        continue
-                    if word and not _word_ok(variant, i, j, x, m):
-                        continue
-                    if bm not in seen:
-                        seen.add(bm)
-                        out.append(bm)
+                    if not word or _word_ok(variant, i, j, x, m):
+                        out.append((i, j, x, m))
     out.sort(key=lambda bm: (bm_degree(bm), bm_sort_key(bm)))
     return out
 
 
-ORDERS = {"z_maxnorm": "z", "neg_lex": "x"}
-
-
-def _leading(lam: PhiElement, order: str):
+def _leading(image, order: str):
+    """(tagged leading monomial, coefficient) of a certify image, or None."""
     if order == "z_maxnorm":
-        z = to_z_basis(lam)
-        if not z.terms:
-            return None
-        m = max(z.terms, key=z_maxnorm_key)
-        return ("z", m), z.terms[m]
-    if order == "neg_lex":
-        lead = leading_term(lam, neg_lex_key)
-        if lead is None:
-            return None
-        return ("x", lead[0]), lead[1]
-    raise ValueError("unknown monomial order %r" % (order,))
+        tag, key = "z", z_maxnorm_key
+    elif order == "neg_lex":
+        tag, key = "x", neg_lex_key
+    else:
+        raise ValueError("unknown monomial order %r" % (order,))
+    lead = leading_term(image, key)
+    if lead is None:
+        return None
+    return (tag, lead[0]), lead[1]
+
+
+def _certify_images(order: str, convention: str):
+    """bm -> its localized image, in the presentation `order` reads: Z
+    for z_maxnorm, X for neg_lex.  lambda is multiplicative and
+    to_z_basis a ring map, so an image is its word's image times its
+    multiset's; each part and each multiset product is built once, in
+    memos that live as long as the returned function."""
+    parts, products = {}, {}
+
+    def part(t):
+        image = parts.get(t)
+        if image is None:
+            image = lambda_term(t, convention)
+            if order == "z_maxnorm":
+                image = to_z_basis(image)
+            parts[t] = image
+        return image
+
+    def product(m):
+        image = products.get(m)
+        if image is None:
+            image = part(atom_term(m[-1]))
+            if len(m) > 1:
+                image = product(m[:-1]) * image
+            products[m] = image
+        return image
+
+    def image(bm):
+        i, j, x, m = bm
+        word = part(bm_term((i, j, x, ())))
+        return word * product(m) if m else word
+
+    return image
 
 
 def certify_basis(
@@ -773,6 +796,7 @@ def certify_basis(
     """Leading-term triangularity (and, for the quotient-side variants,
     per-degree count) report.  Failures are entries, not exceptions."""
     candidates = enumerate_basis(degree_bound, variant, truncation)
+    image = _certify_images(order, convention)
     if inject_duplicate and len(candidates) > 1:
         candidates = candidates + [candidates[-1]]
     by_degree = {}
@@ -787,8 +811,7 @@ def certify_basis(
         leads = {}
         unit_leads = True
         for bm in entries:
-            lam = lambda_term(bm_term(bm), convention)
-            led = _leading(lam, order)
+            led = _leading(image(bm), order)
             if led is None:
                 failures.append({"kind": "zero-image", "monomial": bm_json(bm, ONE)})
                 continue

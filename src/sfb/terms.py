@@ -23,6 +23,8 @@ grammar accepted by :func:`parse_term` mirrors the printer:
 
 from __future__ import annotations
 
+import sys
+
 from .coeff import (
     CoeffElement,
     ONE,
@@ -277,6 +279,8 @@ def _parse_power(sc: _Scanner) -> tuple:
         exp = sc.integer()
         if exp < 0:
             raise TermParseError("negative exponents are not part of the term language")
+        if exp > sys.maxsize:
+            raise TermParseError("exponent %d is too large" % exp)
         return t_prod(*([value] * exp))
     return value
 

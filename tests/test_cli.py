@@ -269,6 +269,19 @@ def test_flat_powers_are_not_deep(capsys):
 
 
 @pytest.mark.parametrize(
+    "expr", ["e_r^99999999999999999999", "G_s(e_r^99999999999999999999)"]
+)
+def test_exponent_past_index_range_exits_2(capsys, expr):
+    # [value] * exp cannot index past sys.maxsize; that is bad input
+    code = main(["lambda", expr])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "too large" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["certify", "--truncation", "-1"],
