@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import random
 
-from .coeff import CoeffElement, ONE, ZERO, cp
+from .coeff import CoeffElement, ONE, ZERO, aug_symbol_name, cp
 from .phi import (
     Combination,
     PhiElement,
@@ -34,6 +34,7 @@ from .phi import (
     mono_json,
     neg_lex_key,
     to_z_basis,
+    z_gen,
     z_maxnorm_key,
 )
 from .terms import (
@@ -108,14 +109,6 @@ def atom_name(atom: tuple) -> str:
     if atom == Z1:
         return "Z1"
     return "Z(%d,%s)" % (atom[1], atom[2])
-
-
-def atom_aug(atom: tuple) -> CoeffElement:
-    if atom[0] == "e":
-        return ZERO
-    if atom == Z1:
-        return cp(1)
-    return cp(atom[1])
 
 
 # --- basis monomials -----------------------------------------------------
@@ -197,20 +190,10 @@ def bm_is_legal(bm: tuple) -> bool:
 
 
 class NormalForm(Combination):
-    """Sparse map basis monomial -> coefficient, with cached views."""
+    """Sparse map basis monomial -> coefficient."""
 
-    __slots__ = ("_lambda", "_aug")
+    __slots__ = ()
     _key_degree = staticmethod(bm_degree)
-
-    def __init__(self, terms=None):
-        super().__init__(terms)
-        self._lambda = None
-        self._aug = None
-
-    def add_scaled(self, other, c):
-        # an in-place update invalidates the cached views
-        self._lambda = self._aug = None
-        super().add_scaled(other, c)
 
     @staticmethod
     def unit(c=ONE) -> "NormalForm":
@@ -249,44 +232,18 @@ class NormalForm(Combination):
         ]
 
     def lambda_image(self, convention: str = "same") -> PhiElement:
-        """Sum of c * lambda(bm).  The image of each bare word (i, j, x)
-        is built once per call from that of its inner word, and the
-        image of each multiset m once per call from its atoms."""
-        if self._lambda is None or self._lambda[0] != convention:
-            words, multisets, acc = {}, {(): PhiElement.one()}, PhiElement()
-
-            def word_image(i, j, x):
-                lam = words.get((i, j, x))
-                if lam is None:
-                    if (i, j) == (0, 0):
-                        lam = lambda_term(bm_term((0, 0, x, ())), convention)
-                    else:
-                        flavor = "r" if i else "s"
-                        inner = (i - 1, j, x) if i else (0, j - 1, x)
-                        lam = _lambda_gamma(
-                            flavor, word_image(*inner), bm_term(inner + ((),))
-                        )
-                    words[(i, j, x)] = lam
-                return lam
-
-            for (i, j, x, m), c in self.terms.items():
-                lam_m = multisets.get(m)
-                if lam_m is None:
-                    lam_m = PhiElement.one()
-                    for a in m:
-                        lam_m = lam_m * lambda_term(atom_term(a), convention)
-                    multisets[m] = lam_m
-                acc.add_scaled(word_image(i, j, x) * lam_m, c)
-            self._lambda = (convention, acc)
-        return self._lambda[1]
+        """Sum of c * lambda(bm), over images built once per call."""
+        image = bm_images(convention)
+        acc = PhiElement()
+        for bm, c in self.terms.items():
+            acc.add_scaled(image(bm), c)
+        return acc
 
     def aug(self) -> CoeffElement:
-        if self._aug is None:
-            acc = ZERO
-            for bm, c in self.terms.items():
-                acc = acc + c * AUG.aug(bm_term(bm))
-            self._aug = acc
-        return self._aug
+        acc = ZERO
+        for bm, c in self.terms.items():
+            acc = acc + c * AUG.aug(bm_term(bm))
+        return acc
 
     def __repr__(self):
         return "NormalForm<%s>" % self.text()
@@ -297,8 +254,6 @@ class NormalForm(Combination):
 
 def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
     """Image under the fixed-point localization map; may carry A-symbols."""
-    from .phi import z_gen
-
     tag = t[0]
     if tag == "coeff":
         return PhiElement.const(t[1])
@@ -327,6 +282,61 @@ def _lambda_gamma(flavor: str, inner: PhiElement, inner_term: tuple) -> PhiEleme
     """lambda(G_V y) = e_V^-1 (lambda(y) - bar y), given lambda(y)."""
     scalar = PhiElement.const(AUG.aug(inner_term))
     return PhiElement.euler(flavor, -1) * (inner - scalar)
+
+
+def _outer(word: tuple) -> tuple:
+    """(flavor, inner bare word) of a word's outermost operator."""
+    i, j, x = word[:3]
+    return ("r", (i - 1, j, x, ())) if i else ("s", (0, j - 1, x, ()))
+
+
+def bm_images(convention: str = "same", present=None):
+    """bm -> lambda(bm), or present(lambda(bm)) for a ring map `present`
+    such as to_z_basis.  lambda is multiplicative, so an image is its
+    bare word's image times its atoms'.  Each word's lambda is built from
+    its inner word's, `present` runs once per word and once per atom (the
+    plain word (0, 0, a, ())), and each multiset product is built from
+    its prefix, in memos that live as long as the returned function."""
+    lam, shown, products = {}, {}, {}
+
+    def word_lambda(word):
+        image = lam.get(word)
+        if image is None:
+            if word[:2] == (0, 0):
+                image = lambda_term(bm_term(word), convention)
+            else:
+                flavor, inner = _outer(word)
+                image = _lambda_gamma(flavor, word_lambda(inner), bm_term(inner))
+            lam[word] = image
+        return image
+
+    def word_image(word):
+        image = shown.get(word)
+        if image is None:
+            image = word_lambda(word)
+            if present is not None:
+                image = present(image)
+            shown[word] = image
+        return image
+
+    def product(m):
+        image = products.get(m)
+        if image is None:
+            for k in range(len(m)):
+                prefix = m[:k + 1]
+                hit = products.get(prefix)
+                if hit is None:
+                    atom = word_image((0, 0, m[k], ()))
+                    hit = products[prefix] = image * atom if k else atom
+                image = hit
+        return image
+
+    def image(bm):
+        i, j, x, m = bm
+        word = word_image((i, j, x, ()))
+        return word * product(m) if m else word
+
+    return image
 
 
 # --- the rewriting engine -------------------------------------------------
@@ -448,44 +458,29 @@ class GammaEngine:
         if x is None:
             return NormalForm.zero()
         e_fl = ("e", flavor)
-        if (i, j) == (0, 0):
-            atoms = (x,) + m
-            if e_fl in atoms:
-                rest = list(atoms)
-                rest.remove(e_fl)
-                return NormalForm.of(mk_plain(rest))
-            if not m:
-                return self._gamma_atom(flavor, x)
-            rest = mk_plain(m)
-            out = self.nf_product(
-                self._gamma_atom(flavor, x), NormalForm.of(rest)
-            )
-            a = atom_aug(x)
-            if not a.is_zero():
-                out = out + self.nf_gamma(flavor, rest).scale(a)
-            return out
-        # words
-        if e_fl in m:
-            rest = list(m)
+        word = (i, j) != (0, 0)
+        # G_V(e_V y) = y
+        atoms = m if word else (x,) + m
+        if e_fl in atoms:
+            rest = list(atoms)
             rest.remove(e_fl)
-            return NormalForm.of((i, j, x, tuple(rest)))
+            return NormalForm.of((i, j, x, tuple(rest)) if word else mk_plain(rest))
         if m:
-            bare = (i, j, x, ())
-            out = self.nf_product(
-                self.nf_gamma(flavor, bare), NormalForm.of(mk_plain(m))
-            )
-            a = AUG.aug(bm_term(bare))
+            # G_V(u y) = G_V(u) y + bar(u) G_V(y), u the bare head
+            head, y = (i, j, x, ()), mk_plain(m)
+            out = self.nf_product(self.nf_gamma(flavor, head), NormalForm.of(y))
+            a = AUG.aug(bm_term(head))
             if not a.is_zero():
-                out = out + self.nf_gamma_elem(
-                    flavor, NormalForm.of(mk_plain(m))
-                ).scale(a)
+                out = out + self.nf_gamma(flavor, y).scale(a)
             return out
+        if not word:
+            return self._gamma_atom(flavor, x)
         if flavor == "r":
             return NormalForm.of((i + 1, j, x, ()))
         if i == 0:
             return NormalForm.of((0, j + 1, x, ()))
         # s after r: commute with the sphere-class correction
-        inner = (i - 1, j, x, ())
+        _, inner = _outer(bm)
         out = self.nf_gamma_elem("r", self.nf_gamma("s", inner))
         c = AUG.aug_power(1, bm_term(inner))
         if not c.is_zero():
@@ -505,7 +500,7 @@ class GammaEngine:
             return NormalForm.of((0, 1, atom, ()))
         # r-flavor on a Z-generator: route through the sphere class,
         # G_r(y) = P*(y - bar y) - G_s(y)
-        g = atom_aug(atom)
+        g = AUG.aug(atom_term(atom))
         return (
             NormalForm.of((1, 1, E_R, (atom,)))
             + NormalForm.of(P_BM, -g)
@@ -536,19 +531,14 @@ class GammaEngine:
         w2 = (i2, j2) != (0, 0)
         if not w1 and not w2:
             return NormalForm.of(mk_plain((x1,) + m1 + (x2,) + m2))
-        if w1 and not w2:
-            return self._mul_word_atoms(bm1, (x2,) + m2)
-        if w2 and not w1:
-            return self._mul_word_atoms(bm2, (x1,) + m1)
-        # two words: multiply the bare words, then fold in both multisets
-        out = self._mul_bare_words((i1, j1, x1, ()), (i2, j2, x2, ()))
-        atoms = tuple(sorted(m1 + m2, key=atom_order))
-        return self._fold_atoms(out, atoms)
-
-    def _mul_word_atoms(self, word: tuple, atoms: tuple) -> NormalForm:
-        return self._fold_atoms(
-            NormalForm.of(word), tuple(sorted(atoms, key=atom_order))
-        )
+        if w1 and w2:
+            # multiply the bare words, then fold in both multisets
+            out = self._mul_bare_words((i1, j1, x1, ()), (i2, j2, x2, ()))
+            atoms = m1 + m2
+        else:
+            out = NormalForm.of(bm1 if w1 else bm2)
+            atoms = (x2,) + m2 if w1 else (x1,) + m1
+        return self._fold_atoms(out, tuple(sorted(atoms, key=atom_order)))
 
     def _fold_atoms(self, nf: NormalForm, atoms: tuple) -> NormalForm:
         for a in atoms:
@@ -567,39 +557,29 @@ class GammaEngine:
         candidate = (i, j, x, tuple(sorted(m + (atom,), key=atom_order)))
         if bm_is_legal(candidate):
             return NormalForm.of(candidate)
-        # peel the outer operator: G_V(u)*a = G_V(u*a) - bar(u)*G_V(a)
-        flavor = "r" if i >= 1 else "s"
-        inner = (i - 1, j, x, ()) if i >= 1 else (i, j - 1, x, ())
-        atom_nf = NormalForm.of(mk_plain([atom]))
-        core = self.nf_gamma_elem(
-            flavor, self.nf_product(NormalForm.of(inner), atom_nf)
-        )
-        ai = AUG.aug(bm_term(inner))
-        if not ai.is_zero():
-            core = core - self.nf_gamma(flavor, mk_plain([atom])).scale(ai)
-        if m:
-            core = self._fold_atoms(core, m)
-        return core
+        return self._fold_atoms(self._peel((i, j, x, ()), mk_plain([atom])), m)
 
     def _mul_bare_words(self, w1: tuple, w2: tuple) -> NormalForm:
         # strip one operator from the word with the larger base; prefer
         # the shorter word on ties, then the second argument
         k1 = (atom_order(w1[2]), -(w1[0] + w1[1]))
         k2 = (atom_order(w2[2]), -(w2[0] + w2[1]))
-        victim, other = (w1, w2) if k1 > k2 else (w2, w1)
-        i, j, x, _ = victim
-        flavor = "r" if i >= 1 else "s"
-        inner = (i - 1, j, x, ()) if i >= 1 else (i, j - 1, x, ())
-        core = self.nf_gamma_elem(flavor, self.nf_mul(inner, other))
-        ai = AUG.aug(bm_term(inner))
-        if not ai.is_zero():
-            core = core - self.nf_gamma(flavor, other).scale(ai)
-        return core
+        if k1 > k2:
+            return self._peel(w1, w2)
+        return self._peel(w2, w1)
+
+    def _peel(self, word: tuple, other: tuple) -> NormalForm:
+        """Peel the outer operator of a bare word off a product:
+        G_V(u)*w = G_V(u*w) - bar(u)*G_V(w)."""
+        flavor, inner = _outer(word)
+        out = self.nf_gamma_elem(flavor, self.nf_mul(inner, other))
+        a = AUG.aug(bm_term(inner))
+        if not a.is_zero():
+            out = out - self.nf_gamma(flavor, other).scale(a)
+        return out
 
 
 def aug_symbol_texts(phi: PhiElement) -> set:
-    from .coeff import aug_symbol_name
-
     return {aug_symbol_name(k) for k in phi.aug_symbols()}
 
 
@@ -751,40 +731,6 @@ def _leading(image, order: str):
     return (tag, lead[0]), lead[1]
 
 
-def _certify_images(order: str, convention: str):
-    """bm -> its localized image, in the presentation `order` reads: Z
-    for z_maxnorm, X for neg_lex.  lambda is multiplicative and
-    to_z_basis a ring map, so an image is its word's image times its
-    multiset's; each part and each multiset product is built once, in
-    memos that live as long as the returned function."""
-    parts, products = {}, {}
-
-    def part(t):
-        image = parts.get(t)
-        if image is None:
-            image = lambda_term(t, convention)
-            if order == "z_maxnorm":
-                image = to_z_basis(image)
-            parts[t] = image
-        return image
-
-    def product(m):
-        image = products.get(m)
-        if image is None:
-            image = part(atom_term(m[-1]))
-            if len(m) > 1:
-                image = product(m[:-1]) * image
-            products[m] = image
-        return image
-
-    def image(bm):
-        i, j, x, m = bm
-        word = part(bm_term((i, j, x, ())))
-        return word * product(m) if m else word
-
-    return image
-
-
 def certify_basis(
     degree_bound: int,
     variant: str = "musf",
@@ -796,7 +742,8 @@ def certify_basis(
     """Leading-term triangularity (and, for the quotient-side variants,
     per-degree count) report.  Failures are entries, not exceptions."""
     candidates = enumerate_basis(degree_bound, variant, truncation)
-    image = _certify_images(order, convention)
+    # the image in the presentation `order` reads: Z for z_maxnorm, X for neg_lex
+    image = bm_images(convention, to_z_basis if order == "z_maxnorm" else None)
     if inject_duplicate and len(candidates) > 1:
         candidates = candidates + [candidates[-1]]
     by_degree = {}

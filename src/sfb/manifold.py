@@ -161,25 +161,18 @@ def fixed_data(m: tuple) -> dict:
     if tag == "union":
         out = {}
         for w, sub in m[1]:
-            for kl, c in fixed_data(sub).items():
-                s = out.get(kl, 0) + w * c
-                if s:
-                    out[kl] = s
-                else:
-                    out.pop(kl, None)
+            _merge(out, ((kl, w * c) for kl, c in fixed_data(sub).items()))
         return out
     if tag == "prod":
         out = {(0, 0): 1}
         for sub in m[1]:
+            if not out:
+                break  # a zero product: the later factors are never read
+            factor = fixed_data(sub)
             nxt = {}
             for (k1, l1), c1 in out.items():
-                for (k2, l2), c2 in fixed_data(sub).items():
-                    kl = (k1 + k2, l1 + l2)
-                    s = nxt.get(kl, 0) + c1 * c2
-                    if s:
-                        nxt[kl] = s
-                    else:
-                        nxt.pop(kl, None)
+                _merge(nxt, (((k1 + k2, l1 + l2), c1 * c2)
+                             for (k2, l2), c2 in factor.items()))
             out = nxt
         return out
     if tag in ("gamma", "gammastar"):
@@ -187,6 +180,16 @@ def fixed_data(m: tuple) -> dict:
             "the bundle construction has a non-isolated fixed set"
         )
     raise ValueError("unknown manifold tag %r" % (tag,))
+
+
+def _merge(out: dict, items) -> None:
+    """Add (key, weight) pairs into the sparse map `out`, dropping zeros."""
+    for kl, c in items:
+        s = out.get(kl, 0) + c
+        if s:
+            out[kl] = s
+        else:
+            out.pop(kl, None)
 
 
 def lambda_fixed(data: dict) -> PhiElement:

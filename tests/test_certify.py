@@ -9,11 +9,11 @@ from sfb.cli import main
 from sfb.engine import (
     UNIT,
     VARIANTS,
-    _certify_images,
     _variant_atoms,
     _word_ok,
     atom_degree,
     bm_degree,
+    bm_images,
     bm_sort_key,
     bm_term,
     enumerate_basis,
@@ -101,8 +101,8 @@ def test_enumeration_matches_generate_then_filter(variant):
 )
 @pytest.mark.parametrize("convention", ["same", "mixed"])
 def test_certify_images_match_whole_term_route(variant, degree, convention):
-    z_image = _certify_images("z_maxnorm", convention)
-    x_image = _certify_images("neg_lex", convention)
+    z_image = bm_images(convention, to_z_basis)
+    x_image = bm_images(convention)
     for bm in enumerate_basis(degree, variant, 6):
         lam = lambda_term(bm_term(bm), convention)
         assert x_image(bm) == lam, bm

@@ -56,12 +56,33 @@ def test_fixed_data_products_convolve():
         assert data == {(n - i, i): comb(n, i) for i in range(n + 1)}
 
 
+def test_fixed_data_reads_each_node_once(monkeypatch):
+    # m = m * m nested five times over P(1,r) is a tree of 63 nodes; the
+    # product used to re-read a factor once per accumulated point (18559 calls)
+    calls = []
+    original = manifold.fixed_data
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(manifold, "fixed_data", counted)
+    m = m_pc(1, "r")
+    for _ in range(5):
+        m = m_prod(m, m)
+    data = manifold.fixed_data(m)
+    assert len(calls) == 2 ** 6 - 1
+    assert data == {(32 - i, i): comb(32, i) for i in range(33)}
+
+
 def test_fixed_data_unions_weight():
     m = m_union((2, m_point()), (-1, m_pc(1, "r")))
     assert fixed_data(m) == {(0, 0): 2, (1, 0): -1, (0, 1): -1}
     # cancelling weights drop the key
     m2 = m_union((1, m_point()), (-1, m_point()))
     assert fixed_data(m2) == {}
+    # a zero factor ends a product before the factors after it are read
+    assert fixed_data(m_prod(m2, m_gamma(m_point()))) == {}
 
 
 def test_fixed_data_rejects_positive_dimensional_sets():

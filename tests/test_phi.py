@@ -1,4 +1,3 @@
-import warnings
 
 import pytest
 from hypothesis import given, settings
