@@ -14,6 +14,7 @@ import os
 import sys
 
 from .coeff import (
+    ONE,
     CoeffParseError,
     _Scanner,
     parse_coeff,
@@ -42,7 +43,6 @@ from .manifold import (
     verify_manifold_relations,
 )
 from .terms import TermParseError, parse_term
-from .coeff import ONE
 
 
 def _emit(doc) -> None:
@@ -58,10 +58,7 @@ def _load_json_arg(arg: str):
 
 
 def _parse_aug_key(name: str):
-    sc = _Scanner(name)
-    el = parse_coeff_atom(sc)
-    if not sc.done():
-        raise ValueError("bad symbol name %r" % (name,))
+    el = _Scanner(name).parse(parse_coeff_atom, CoeffParseError)
     keys = el.aug_symbols()
     if len(keys) != 1 or el != el.__class__.gen(keys[0]):
         raise ValueError("assignment keys must be single A-symbols, got %r" % (name,))

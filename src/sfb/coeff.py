@@ -13,6 +13,10 @@ needs a torsion-free graded ring with designated ``cp`` classes.
 
 from __future__ import annotations
 
+import sys
+from functools import reduce
+from operator import mul
+
 # Generator keys (the public API of gen, aug_symbols and substitute).
 #   ('g', n)            -> g_n, degree 2n
 #   ('A', j, base, deg) -> A(j;base), degree deg (even), j >= 1
@@ -338,7 +342,15 @@ class CoeffParseError(ValueError):
 
 
 class _Scanner:
-    """Shared tokenizer; also used by the expression parsers downstream."""
+    """Shared tokenizer and expression-grammar skeleton.
+
+    The coefficient, term and manifold parsers all run on these rules:
+    ``parse`` (whole input), ``signed`` (sums), ``joined`` (products),
+    ``power`` (``^n``), ``closed`` (``... )`` after an opener) and
+    ``indexed`` (``n,flavor)``).  Each language supplies only its atoms
+    and what a sum, product and power build.  The rules raise
+    CoeffParseError, which ``parse`` re-raises as the language's error.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -394,75 +406,106 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
+    # --- grammar rules ----------------------------------------------------
+
+    def parse(self, rule, error):
+        """rule over the whole text; any ValueError is re-raised as error."""
+        try:
+            value = rule(self)
+            if not self.done():
+                raise error(
+                    "trailing input at position %d in %r" % (self.pos, self.text)
+                )
+            return value
+        except error:
+            raise
+        except ValueError as exc:
+            raise error(str(exc)) from None
+
+    def _sign(self) -> int:
+        return 1 if self.take("+") else -1 if self.take("-") else 0
+
+    def signed(self, item) -> list:
+        """['-'|'+'] item (('+'|'-') item)*, as [(sign, part)]."""
+        parts = []
+        sign = self._sign() or 1
+        while sign:
+            parts.append((sign, item(self)))
+            sign = self._sign()
+        return parts
+
+    def joined(self, item, *seps) -> list:
+        """item (sep item)*, as a list of parts."""
+        parts = [item(self)]
+        while any(self.take(sep) for sep in seps):
+            parts.append(item(self))
+        return parts
+
+    def power(self, atom, raise_to):
+        """atom ['^' n]; raise_to(value, n) builds the power, 0 <= n <= maxsize."""
+        value = atom(self)
+        if not self.take("^"):
+            return value
+        n = self.integer()
+        if n < 0:
+            raise CoeffParseError("negative exponent %d" % n)
+        if n > sys.maxsize:
+            raise CoeffParseError("exponent %d is too large" % n)
+        return raise_to(value, n)
+
+    def closed(self, inner):
+        """inner ')', read after an opener."""
+        value = inner(self)
+        self.expect(")")
+        return value
+
+    def indexed(self) -> tuple:
+        """n ',' flavor ')' with n >= 1, read after an opener such as 'Z('."""
+        n = self.integer()
+        self.expect(",")
+        flavor = self.flavor()
+        self.expect(")")
+        if n < 1:
+            raise CoeffParseError("index must be >= 1, got %d" % n)
+        return n, flavor
+
 
 def parse_coeff(text: str) -> CoeffElement:
     """Parse the canonical text form, e.g. ``3*g1^2*g2 - A(1;P) + 2``."""
-    sc = _Scanner(text)
-    value = _parse_coeff_sum(sc)
-    if not sc.done():
-        raise CoeffParseError("trailing input at position %d in %r" % (sc.pos, text))
-    return value
+    return _Scanner(text).parse(_parse_coeff_sum, CoeffParseError)
 
 
 def _parse_coeff_sum(sc: _Scanner) -> CoeffElement:
-    negate = False
-    if sc.take("-"):
-        negate = True
-    else:
-        sc.take("+")
-    value = _parse_coeff_product(sc)
-    if negate:
-        value = -value
-    while True:
-        if sc.take("+"):
-            value = value + _parse_coeff_product(sc)
-        elif sc.take("-"):
-            value = value - _parse_coeff_product(sc)
-        else:
-            return value
+    return sum((s * p for s, p in sc.signed(_parse_coeff_product)), ZERO)
 
 
 def _parse_coeff_product(sc: _Scanner) -> CoeffElement:
-    value = _parse_coeff_power(sc)
-    while sc.take("*"):
-        value = value * _parse_coeff_power(sc)
-    return value
-
-
-def _parse_coeff_power(sc: _Scanner) -> CoeffElement:
-    value = parse_coeff_atom(sc)
-    if sc.take("^"):
-        exp = sc.integer()
-        if exp < 0:
-            raise CoeffParseError("negative exponent in coefficient")
-        value = value ** exp
-    return value
+    return reduce(mul, sc.joined(lambda sc: sc.power(parse_coeff_atom, pow), "*"))
 
 
 def parse_coeff_atom(sc: _Scanner) -> CoeffElement:
     """One coefficient atom: integer, g<n>, A(j;base), or parenthesis."""
-    ch = sc.peek()
-    if ch == "(":
-        sc.expect("(")
-        value = _parse_coeff_sum(sc)
-        sc.expect(")")
-        return value
-    if ch.isdigit():
+    if sc.take("("):
+        return sc.closed(_parse_coeff_sum)
+    if sc.peek().isdigit():
         return CoeffElement.integer(sc.integer())
-    if sc.startswith("g"):
-        sc.take("g")
+    if sc.take("g"):
         n = sc.integer()
         if n < 1:
             raise CoeffParseError("g-generator index must be >= 1")
         return cp(n)
-    if sc.startswith("A("):
-        sc.take("A(")
+    if sc.take("A("):
         j = sc.integer()
-        sc.expect(";")
-        base = _parse_base_key(sc)
-        sc.expect(")")
         if j < 1:
             raise CoeffParseError("A-symbol star depth must be >= 1")
+        sc.expect(";")
+        if sc.take("P"):
+            base = "P"
+        elif sc.take("Z("):
+            base = "Z(%d,%s)" % sc.indexed()
+        else:
+            raise CoeffParseError("unknown A-symbol base at position %d" % sc.pos)
+        sc.expect(")")
         return aug_symbol(j, base)
     raise CoeffParseError(
         "expected coefficient atom at position %d in %r" % (sc.pos, sc.text)
@@ -472,17 +515,3 @@ def parse_coeff_atom(sc: _Scanner) -> CoeffElement:
 def is_coeff_atom_start(sc: _Scanner) -> bool:
     ch = sc.peek()
     return ch.isdigit() or sc.startswith("g") or sc.startswith("A(")
-
-
-def _parse_base_key(sc: _Scanner) -> str:
-    if sc.take("P"):
-        return "P"
-    if sc.take("Z("):
-        n = sc.integer()
-        sc.expect(",")
-        flavor = sc.flavor()
-        sc.expect(")")
-        if n < 1:
-            raise CoeffParseError("Z index must be >= 1")
-        return "Z(%d,%s)" % (n, flavor)
-    raise CoeffParseError("unknown A-symbol base at position %d" % sc.pos)

@@ -625,14 +625,8 @@ VARIANTS = ("musf", "musf-work", "omega", "omega-lit", "omega-alt")
 
 
 def _variant_atoms(variant: str, max_z_degree: int) -> list:
-    atoms = []
-    if variant.startswith("musf"):
-        atoms.extend([E_R, E_S])
-        start = 2
-    else:
-        atoms.append(Z1)
-        start = 2
-    for n in range(start, max_z_degree // 2 + 1):
+    atoms = [E_R, E_S] if variant.startswith("musf") else [Z1]
+    for n in range(2, max_z_degree // 2 + 1):
         atoms.append(z_atom(n, "r"))
         atoms.append(z_atom(n, "s"))
     return atoms

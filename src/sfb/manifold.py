@@ -10,18 +10,21 @@ A manifold expression is a tagged tuple:
     ("gamma", M)           twisted-bundle construction, r-flavored
     ("gammastar", M)       the s-flavored mate
 
-Grammar:  msum := ['-'] mprod (('+'|'-') mprod)*
-          mprod := mpow (('x'|'*') mpow)*
-          mpow  := matom ['^' nonneg]
-          matom := 'P(' n ',' flavor ')' | 'pt' | 'gamma(' msum ')'
-                 | 'gammas(' msum ')' | integer | '(' msum ')'
+Grammar, on the shared skeleton of ``coeff._Scanner``:
 
-A bare integer w means w disjoint points.
+    msum   := ['-'|'+'] mprod (('+'|'-') mprod)*
+    mprod  := factor (('x'|'*') factor)*
+    factor := integer | matom ['^' n]        (0 <= n <= sys.maxsize)
+    matom  := 'P(' n ',' flavor ')' | 'pt' | 'gamma(' msum ')'
+            | 'gammas(' msum ')' | '(' msum ')'
+
+A bare integer w in a product is a weight: w disjoint copies.
 """
 
 from __future__ import annotations
 
-from math import comb
+import random
+from math import comb, prod
 
 from .coeff import CoeffElement, _Scanner
 from .phi import PhiElement, mono_json, z_gen
@@ -339,34 +342,11 @@ def check_cobordant(m1: tuple, m2: tuple, convention: str = "same"):
 
 
 def parse_manifold(text: str) -> tuple:
-    sc = _Scanner(text)
-    try:
-        m = _parse_msum(sc)
-    except ManifoldParseError:
-        raise
-    except ValueError as exc:
-        # scanner-level and constructor-level failures surface uniformly
-        raise ManifoldParseError(str(exc)) from None
-    if not sc.done():
-        raise ManifoldParseError(
-            "trailing input at position %d in %r" % (sc.pos, text)
-        )
-    return m
+    return _Scanner(text).parse(_parse_msum, ManifoldParseError)
 
 
 def _parse_msum(sc: _Scanner) -> tuple:
-    parts = []
-    sign = -1 if sc.take("-") else 1
-    if sign == 1:
-        sc.take("+")
-    parts.append((sign, _parse_mprod(sc)))
-    while True:
-        if sc.take("+"):
-            parts.append((1, _parse_mprod(sc)))
-        elif sc.take("-"):
-            parts.append((-1, _parse_mprod(sc)))
-        else:
-            break
+    parts = sc.signed(_parse_mprod)
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]
     out = []
@@ -380,56 +360,28 @@ def _parse_msum(sc: _Scanner) -> tuple:
 
 
 def _parse_mprod(sc: _Scanner) -> tuple:
-    weight = 1
-    factors = []
-    while True:
+    def factor(sc):
         if sc.peek().isdigit():
-            weight *= sc.integer()
-        else:
-            factors.append(_parse_mpow(sc))
-        if sc.take("x") or sc.take("*"):
-            continue
-        break
-    m = m_prod(*factors)
-    if weight == 1:
-        return m
-    return ("union", ((weight, m),))
+            return sc.integer()
+        return sc.power(_parse_matom, lambda m, n: m_prod(*[m] * n))
 
-
-def _parse_mpow(sc: _Scanner) -> tuple:
-    m = _parse_matom(sc)
-    if sc.take("^"):
-        exp = sc.integer()
-        if exp < 0:
-            raise ManifoldParseError("negative powers of manifolds are not defined")
-        return m_prod(*([m] * exp))
-    return m
+    parts = sc.joined(factor, "x", "*")
+    weight = prod(p for p in parts if isinstance(p, int))
+    m = m_prod(*(p for p in parts if not isinstance(p, int)))
+    return m if weight == 1 else ("union", ((weight, m),))
 
 
 def _parse_matom(sc: _Scanner) -> tuple:
     if sc.take("P("):
-        n = sc.integer()
-        sc.expect(",")
-        flavor = sc.flavor()
-        sc.expect(")")
-        if n < 1:
-            raise ManifoldParseError("index >= 1 required")
-        return m_pc(n, flavor)
+        return m_pc(*sc.indexed())
     if sc.take("pt"):
         return m_point()
     if sc.take("gammas("):
-        inner = _parse_msum(sc)
-        sc.expect(")")
-        return m_gammastar(inner)
+        return m_gammastar(sc.closed(_parse_msum))
     if sc.take("gamma("):
-        inner = _parse_msum(sc)
-        sc.expect(")")
-        return m_gamma(inner)
-    if sc.peek() == "(":
-        sc.expect("(")
-        inner = _parse_msum(sc)
-        sc.expect(")")
-        return inner
+        return m_gamma(sc.closed(_parse_msum))
+    if sc.take("("):
+        return sc.closed(_parse_msum)
     raise ManifoldParseError(
         "expected manifold atom at position %d in %r" % (sc.pos, sc.text)
     )
@@ -502,9 +454,7 @@ def verify_manifold_relations(samples: int = 200, seed: int = 0,
     random manifold expressions: the exchange identity
     gamma(x)(y - bar y) = (x - bar x) gamma(y), and the reordering
     identity with the corrected scalar coefficient."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     sphere = z_gen(1, "r", convention)
     checks = {"exchange": 0, "reorder_corrected": 0}
     failures = []

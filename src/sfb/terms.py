@@ -11,19 +11,19 @@ A term is a tagged tuple:
     ("prod", (terms...))
 
 Tuples are hashable, so canonical forms double as memo keys.  The
-grammar accepted by :func:`parse_term` mirrors the printer:
+grammar accepted by :func:`parse_term` mirrors the printer; its sum,
+product, power and parenthesis rules are the shared skeleton of
+``coeff._Scanner``:
 
-    sum     := ['-'] product (('+' | '-') product)*
+    sum     := ['-' | '+'] product (('+' | '-') product)*
     product := power ('*' power)*
-    power   := atom ['^' nonneg]        (exponent sugar, expands to a product)
+    power   := atom ['^' n]     (0 <= n <= sys.maxsize, expands to a product)
     atom    := 'G_r(' sum ')' | 'G_s(' sum ')' | 'bar(' sum ')'
              | 'sigma(' coeff-sum ')' | 'e_r' | 'e_s' | 'Z(' n ',' flavor ')'
              | integer | 'g' n | 'A(' j ';' base ')' | '(' sum ')'
 """
 
 from __future__ import annotations
-
-import sys
 
 from .coeff import (
     CoeffElement,
@@ -232,88 +232,36 @@ def _text(t: tuple, level: int) -> str:
 
 
 def parse_term(text: str) -> tuple:
-    sc = _Scanner(text)
-    try:
-        t = _parse_sum(sc)
-    except TermParseError:
-        raise
-    except ValueError as exc:
-        # scanner-level and constructor-level failures surface uniformly
-        raise TermParseError(str(exc)) from None
-    if not sc.done():
-        raise TermParseError(
-            "trailing input at position %d in %r" % (sc.pos, text)
-        )
-    return t
+    return _Scanner(text).parse(_parse_sum, TermParseError)
 
 
 def _parse_sum(sc: _Scanner) -> tuple:
-    negate = False
-    if sc.take("-"):
-        negate = True
-    else:
-        sc.take("+")
-    value = _parse_product(sc)
-    if negate:
-        value = t_prod(t_int(-1), value)
-    parts = [value]
-    while True:
-        if sc.take("+"):
-            parts.append(_parse_product(sc))
-        elif sc.take("-"):
-            parts.append(t_prod(t_int(-1), _parse_product(sc)))
-        else:
-            return t_sum(*parts)
+    parts = sc.signed(_parse_product)
+    return t_sum(*(p if s > 0 else t_prod(t_int(-1), p) for s, p in parts))
 
 
 def _parse_product(sc: _Scanner) -> tuple:
-    parts = [_parse_power(sc)]
-    while sc.take("*"):
-        parts.append(_parse_power(sc))
-    return t_prod(*parts)
-
-
-def _parse_power(sc: _Scanner) -> tuple:
-    value = _parse_atom(sc)
-    if sc.take("^"):
-        exp = sc.integer()
-        if exp < 0:
-            raise TermParseError("negative exponents are not part of the term language")
-        if exp > sys.maxsize:
-            raise TermParseError("exponent %d is too large" % exp)
-        return t_prod(*([value] * exp))
-    return value
+    return t_prod(*sc.joined(
+        lambda sc: sc.power(_parse_atom, lambda t, n: t_prod(*[t] * n)), "*"
+    ))
 
 
 def _parse_atom(sc: _Scanner) -> tuple:
     for flavor in ("r", "s"):
         if sc.take("G_%s(" % flavor):
-            inner = _parse_sum(sc)
-            sc.expect(")")
-            return t_gamma(flavor, inner)
+            return t_gamma(flavor, sc.closed(_parse_sum))
     if sc.take("bar("):
-        inner = _parse_sum(sc)
-        sc.expect(")")
-        return t_bar(inner)
+        return t_bar(sc.closed(_parse_sum))
     if sc.take("sigma("):
-        c = _parse_coeff_sum(sc)
-        sc.expect(")")
-        return t_coeff(c)
+        return t_coeff(sc.closed(_parse_coeff_sum))
     if sc.take("e_r"):
         return t_euler("r")
     if sc.take("e_s"):
         return t_euler("s")
     if sc.take("Z("):
-        n = sc.integer()
-        sc.expect(",")
-        flavor = sc.flavor()
-        sc.expect(")")
-        return t_zgen(n, flavor)
-    if sc.peek() == "(":
-        sc.expect("(")
-        inner = _parse_sum(sc)
-        sc.expect(")")
-        return inner
+        return t_zgen(*sc.indexed())
+    if sc.take("("):
+        return sc.closed(_parse_sum)
     if is_coeff_atom_start(sc):
         return t_coeff(parse_coeff_atom(sc))
     raise TermParseError(

@@ -269,11 +269,18 @@ def test_flat_powers_are_not_deep(capsys):
 
 
 @pytest.mark.parametrize(
-    "expr", ["e_r^99999999999999999999", "G_s(e_r^99999999999999999999)"]
+    "argv",
+    [
+        ["lambda", "e_r^99999999999999999999"],
+        ["lambda", "G_s(e_r^99999999999999999999)"],
+        ["cobordant", "pt^99999999999999999999", "pt"],
+        ["lambda", "sigma(g1^99999999999999999999)"],
+    ],
+    ids=lambda argv: argv[1],
 )
-def test_exponent_past_index_range_exits_2(capsys, expr):
-    # [value] * exp cannot index past sys.maxsize; that is bad input
-    code = main(["lambda", expr])
+def test_exponent_past_index_range_exits_2(capsys, argv):
+    # every language bounds ^n by sys.maxsize; a larger exponent is bad input
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
