@@ -3,7 +3,10 @@
 Values are rewritten to coefficient combinations of basis monomials
 (i, j, x, m): i applications of the r-flavored extension operator over
 j s-flavored ones, applied to a single generator x, times a multiset m
-of generators.  Generator order: e_r < e_s < Z(2,r) < Z(2,s) < ...
+of generators.  A generator is its own term (``("euler", V)`` or
+``("zgen", n, V)``), and the unit's x is ``()``; since "euler" < "zgen",
+plain tuple order is the generator order e_r < e_s < Z(2,r) < Z(2,s) < ...
+and a basis monomial sorts as itself.
 
 Every rewrite rule is exact under the localization map, and
 ``normalize`` recomputes the localized image on both routes by default;
@@ -23,6 +26,7 @@ available, see ``enumerate_basis``).
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
@@ -66,59 +70,39 @@ class LambdaMismatch(RuntimeError):
 
 # --- generator atoms ------------------------------------------------------
 
-E_R = ("e", "r")
-E_S = ("e", "s")
+E_R = t_euler("r")
+E_S = t_euler("s")
 
 
 def z_atom(n: int, flavor: str) -> tuple:
     if n < 2:
         raise ValueError("stored Z-generators start at index 2")
-    return ("Z", n, flavor)
+    return t_zgen(n, flavor)
 
 
-Z1 = ("Z1",)  # degree-2 sphere class, used by the quotient-side bases
-
-
-def atom_order(atom: tuple) -> tuple:
-    if atom[0] == "e":
-        return (0, 0 if atom[1] == "r" else 1, 0)
-    if atom == Z1:
-        return (1, 1, 0)
-    return (1, atom[1], 0 if atom[2] == "r" else 1)
+Z1 = t_zgen(1, "r")  # degree-2 sphere class, used by the quotient-side bases
 
 
 def atom_degree(atom: tuple) -> int:
-    if atom[0] == "e":
-        return -2
-    if atom == Z1:
-        return 2
-    return 2 * atom[1]
-
-
-def atom_term(atom: tuple) -> tuple:
-    if atom[0] == "e":
-        return t_euler(atom[1])
-    if atom == Z1:
-        return t_zgen(1, "r")
-    return t_zgen(atom[1], atom[2])
+    return -2 if atom[0] == "euler" else 2 * atom[1]
 
 
 def atom_name(atom: tuple) -> str:
-    if atom[0] == "e":
+    if atom[0] == "euler":
         return "e_%s" % atom[1]
     if atom == Z1:
         return "Z1"
-    return "Z(%d,%s)" % (atom[1], atom[2])
+    return "Z(%d,%s)" % atom[1:]
 
 
 # --- basis monomials -----------------------------------------------------
 
-UNIT = (0, 0, None, ())
+UNIT = (0, 0, (), ())
 P_BM = (1, 1, E_R, ())
 
 
 def mk_plain(atoms) -> tuple:
-    atoms = tuple(sorted(atoms, key=atom_order))
+    atoms = tuple(sorted(atoms))
     if not atoms:
         return UNIT
     return (0, 0, atoms[0], atoms[1:])
@@ -127,33 +111,21 @@ def mk_plain(atoms) -> tuple:
 def bm_degree(bm: tuple) -> int:
     i, j, x, m = bm
     d = 2 * (i + j)
-    if x is not None:
+    if x:
         d += atom_degree(x)
     return d + sum(atom_degree(a) for a in m)
 
 
 def bm_term(bm: tuple) -> tuple:
     i, j, x, m = bm
-    if x is None:
+    if not x:
         return t_int(1)
-    core = atom_term(x)
+    core = x
     for _ in range(j):
         core = t_gamma("s", core)
     for _ in range(i):
         core = t_gamma("r", core)
-    if not m:
-        return core
-    return t_prod(core, *(atom_term(a) for a in m))
-
-
-def bm_sort_key(bm: tuple) -> tuple:
-    i, j, x, m = bm
-    return (
-        i,
-        j,
-        atom_order(x) if x is not None else (-1,),
-        tuple(atom_order(a) for a in m),
-    )
+    return t_prod(core, *m)
 
 
 def bm_json(bm: tuple, coeff: CoeffElement) -> dict:
@@ -161,7 +133,7 @@ def bm_json(bm: tuple, coeff: CoeffElement) -> dict:
     return {
         "i": i,
         "j": j,
-        "x": atom_name(x) if x is not None else None,
+        "x": atom_name(x) if x else None,
         "m": [atom_name(a) for a in m],
         "coeff": str(coeff),
     }
@@ -171,19 +143,19 @@ def bm_is_legal(bm: tuple) -> bool:
     i, j, x, m = bm
     if i < 0 or j < 0:
         return False
-    if x is None:
+    if not x:
         return (i, j) == (0, 0) and not m
-    if any(atom_order(a) < atom_order(x) for a in m):
+    if any(a < x for a in m):
         return False
     if (i, j) == (0, 0):
         return True
     if x == E_R:
         if j < 1 or E_S in m:
             return False
-        return i == 0 or all(a[0] == "Z" for a in m)
+        return i == 0 or all(a[0] == "zgen" for a in m)
     if x == E_S:
         return i >= 1 and j == 0
-    return j >= 1 and all(a[0] == "Z" for a in m)
+    return j >= 1 and all(a[0] == "zgen" for a in m)
 
 
 # --- normal forms -------------------------------------------------------
@@ -211,7 +183,7 @@ class NormalForm(Combination):
         if not self.terms:
             return t_int(0)
         parts = []
-        for bm in sorted(self.terms, key=bm_sort_key):
+        for bm in sorted(self.terms):
             c = self.terms[bm]
             body = bm_term(bm)
             if bm == UNIT:
@@ -228,7 +200,7 @@ class NormalForm(Combination):
     def to_json(self) -> list:
         return [
             bm_json(bm, self.terms[bm])
-            for bm in sorted(self.terms, key=bm_sort_key)
+            for bm in sorted(self.terms)
         ]
 
     def lambda_image(self, convention: str = "same") -> PhiElement:
@@ -354,9 +326,9 @@ class GammaEngine:
 
     # -- public entry points ---------------------------------------------
 
-    def normalize(self, term: tuple, check_lambda: bool = True, rng=None) -> NormalForm:
+    def normalize(self, term: tuple, check_lambda: bool = True) -> NormalForm:
         self._steps = 0
-        nf = self._eval(term, rng)
+        nf = self._eval(term)
         if check_lambda:
             direct = lambda_term(term, self.z_convention)
             via_nf = nf.lambda_image(self.z_convention)
@@ -387,35 +359,27 @@ class GammaEngine:
 
     # -- AST evaluation ----------------------------------------------------
 
-    def _eval(self, t: tuple, rng) -> NormalForm:
+    def _eval(self, t: tuple) -> NormalForm:
         tag = t[0]
         if tag == "coeff":
             return NormalForm.unit(t[1])
-        if tag == "euler":
-            return NormalForm.of(mk_plain([("e", t[1])]))
-        if tag == "zgen":
-            if t[1] == 1:
-                return NormalForm.of(P_BM)
-            return NormalForm.of(mk_plain([z_atom(t[1], t[2])]))
+        if tag == "zgen" and t[1] == 1:
+            return NormalForm.of(P_BM)
+        if tag in ("euler", "zgen"):
+            return NormalForm.of(mk_plain([t]))
         if tag == "gamma":
-            return self.nf_gamma_elem(t[1], self._eval(t[2], rng))
+            return self.nf_gamma_elem(t[1], self._eval(t[2]))
         if tag == "bar":
             return NormalForm.unit(AUG.aug(t[1]))
         if tag == "sum":
-            children = list(t[1])
-            if rng is not None:
-                rng.shuffle(children)
             acc = NormalForm()
-            for s in children:
-                acc.add_scaled(self._eval(s, rng), ONE)
+            for s in t[1]:
+                acc.add_scaled(self._eval(s), ONE)
             return acc
         if tag == "prod":
-            children = list(t[1])
-            if rng is not None:
-                rng.shuffle(children)
             acc = NormalForm.unit()
-            for s in children:
-                acc = self.nf_product(acc, self._eval(s, rng))
+            for s in t[1]:
+                acc = self.nf_product(acc, self._eval(s))
             return acc
         raise ValueError("unknown term tag %r" % (tag,))
 
@@ -455,9 +419,9 @@ class GammaEngine:
 
     def _nf_gamma(self, flavor: str, bm: tuple) -> NormalForm:
         i, j, x, m = bm
-        if x is None:
+        if not x:
             return NormalForm.zero()
-        e_fl = ("e", flavor)
+        e_fl = t_euler(flavor)
         word = (i, j) != (0, 0)
         # G_V(e_V y) = y
         atoms = m if word else (x,) + m
@@ -488,19 +452,19 @@ class GammaEngine:
         return out
 
     def _gamma_atom(self, flavor: str, atom: tuple) -> NormalForm:
-        if atom == ("e", flavor):
+        if atom == t_euler(flavor):
             return NormalForm.unit()
         if flavor == "r" and atom == E_S:
             return NormalForm.of((1, 0, E_S, ()))
         if flavor == "s" and atom == E_R:
             return NormalForm.of((0, 1, E_R, ()))
-        if atom[0] != "Z":
+        if atom[0] != "zgen":
             raise ValueError("operator applied to unknown atom %r" % (atom,))
         if flavor == "s":
             return NormalForm.of((0, 1, atom, ()))
         # r-flavor on a Z-generator: route through the sphere class,
         # G_r(y) = P*(y - bar y) - G_s(y)
-        g = AUG.aug(atom_term(atom))
+        g = AUG.aug(atom)
         return (
             NormalForm.of((1, 1, E_R, (atom,)))
             + NormalForm.of(P_BM, -g)
@@ -514,7 +478,7 @@ class GammaEngine:
             return NormalForm.of(bm2)
         if bm2 == UNIT:
             return NormalForm.of(bm1)
-        a, b = sorted((bm1, bm2), key=bm_sort_key)
+        a, b = sorted((bm1, bm2))
         key = (a, b)
         hit = self._mul_memo.get(key)
         if hit is not None:
@@ -538,7 +502,7 @@ class GammaEngine:
         else:
             out = NormalForm.of(bm1 if w1 else bm2)
             atoms = (x2,) + m2 if w1 else (x1,) + m1
-        return self._fold_atoms(out, tuple(sorted(atoms, key=atom_order)))
+        return self._fold_atoms(out, tuple(sorted(atoms)))
 
     def _fold_atoms(self, nf: NormalForm, atoms: tuple) -> NormalForm:
         for a in atoms:
@@ -550,11 +514,11 @@ class GammaEngine:
 
     def _mul_bm_atom(self, bm: tuple, atom: tuple) -> NormalForm:
         i, j, x, m = bm
-        if x is None:
+        if not x:
             return NormalForm.of(mk_plain([atom]))
         if (i, j) == (0, 0):
             return NormalForm.of(mk_plain((x,) + m + (atom,)))
-        candidate = (i, j, x, tuple(sorted(m + (atom,), key=atom_order)))
+        candidate = (i, j, x, tuple(sorted(m + (atom,))))
         if bm_is_legal(candidate):
             return NormalForm.of(candidate)
         return self._fold_atoms(self._peel((i, j, x, ()), mk_plain([atom])), m)
@@ -562,8 +526,8 @@ class GammaEngine:
     def _mul_bare_words(self, w1: tuple, w2: tuple) -> NormalForm:
         # strip one operator from the word with the larger base; prefer
         # the shorter word on ties, then the second argument
-        k1 = (atom_order(w1[2]), -(w1[0] + w1[1]))
-        k2 = (atom_order(w2[2]), -(w2[0] + w2[1]))
+        k1 = (w1[2], -(w1[0] + w1[1]))
+        k2 = (w2[2], -(w2[0] + w2[1]))
         if k1 > k2:
             return self._peel(w1, w2)
         return self._peel(w2, w1)
@@ -697,7 +661,7 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for x_idx, x in enumerate(atoms):
-                base_cost = i + j + (1 if x[0] == "e" else 0)
+                base_cost = i + j + (1 if x[0] == "euler" else 0)
                 if base_cost > n:
                     continue
                 word = (i, j) != (0, 0)
@@ -707,7 +671,7 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
                 ):
                     if not word or _word_ok(variant, i, j, x, m):
                         out.append((i, j, x, m))
-    out.sort(key=lambda bm: (bm_degree(bm), bm_sort_key(bm)))
+    out.sort(key=lambda bm: (bm_degree(bm), bm))
     return out
 
 
@@ -740,14 +704,11 @@ def certify_basis(
     image = bm_images(convention, to_z_basis if order == "z_maxnorm" else None)
     if inject_duplicate and len(candidates) > 1:
         candidates = candidates + [candidates[-1]]
-    by_degree = {}
-    for bm in candidates:
-        by_degree.setdefault(bm_degree(bm), []).append(bm)
     count_checked = variant.startswith("omega")
     degrees_report = []
     ok = True
-    for d in sorted(by_degree):
-        entries = by_degree[d]
+    for d, group in itertools.groupby(candidates, bm_degree):
+        entries = list(group)
         failures = []
         leads = {}
         unit_leads = True

@@ -233,11 +233,7 @@ def fixed_data_from_json(doc: dict) -> dict:
         l = _json_int(p, "rho_star")
         if k < 0 or l < 0:
             raise ManifoldParseError("normal-line counts must be >= 0")
-        s = out.get((k, l), 0) + w
-        if s:
-            out[(k, l)] = s
-        else:
-            out.pop((k, l), None)
+        _merge(out, [((k, l), w)])
     return out
 
 

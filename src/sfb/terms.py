@@ -221,7 +221,7 @@ def _text(t: tuple, level: int) -> str:
         parts = []
         for i in range(start, len(factors)):
             p = _text(factors[i], 1)
-            if i > start and p.startswith("-"):
+            if p.startswith("-") and (i > start or prefix):
                 p = "(%s)" % p
             parts.append(p)
         return prefix + "*".join(parts)

@@ -14,7 +14,6 @@ from sfb.engine import (
     atom_degree,
     bm_degree,
     bm_images,
-    bm_sort_key,
     bm_term,
     enumerate_basis,
     lambda_term,
@@ -62,7 +61,7 @@ def reference_enumerate_basis(degree_bound, variant="musf", truncation=4):
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for x_idx, x in enumerate(atoms):
-                base_cost = i + j + (1 if x[0] == "e" else 0)
+                base_cost = i + j + (1 if x[0] == "euler" else 0)
                 if base_cost > n:
                     continue
                 word = (i, j) != (0, 0)
@@ -77,7 +76,7 @@ def reference_enumerate_basis(degree_bound, variant="musf", truncation=4):
                     if bm not in seen:
                         seen.add(bm)
                         out.append(bm)
-    out.sort(key=lambda bm: (bm_degree(bm), bm_sort_key(bm)))
+    out.sort(key=lambda bm: (bm_degree(bm), bm))
     return out
 
 
@@ -135,6 +134,18 @@ PINNED = [
         ("omega", 0, OMEGA_D12),
         ("omega-lit", 1, OMEGA_LIT_D12),
         ("omega-alt", 1, OMEGA_ALT_D12),
+    )
+] + [
+    # the enumeration order itself, which the oracle above shares
+    (("basis", "--variant", variant, "--degree", degree, "--truncation", "6"),
+     0, digest)
+    for variant, degree, digest in (
+        ("musf", "12", "19b5253d2b9bb5693f607b0fdf4517de84b7af1fb803e76b91d2bc4bc5c7d097"),
+        ("musf-work", "12", "c80a11a9a8c028163e2392118166ec8d47117d39996757f988a77d6c7d6e0a1c"),
+        ("omega", "12", "349f3e51a11546f879384ac6daacf4dc2d3e55769a2e6e8c226a6058d5a196e6"),
+        ("omega-lit", "12", "31ef993fd1ce39037d6d0d22c7a3f4588bf22f295328a22a7e2b2dc4f0c0bbbd"),
+        ("omega-alt", "12", "0bc19c36f9933db1dfc49d0964c38a5ff81dc6cd851b5aa4e65d994c99d3eb8b"),
+        ("musf", "16", "1dad74c08082b520ef9bc480a745e2a9cf841cfc85a0ee2fe93bc86083cdd628"),
     )
 ]
 

@@ -13,7 +13,7 @@ from sfb.engine import (
     GammaEngine,
     NormalForm,
     StepBudgetExceeded,
-    atom_order,
+    Z1,
     bm_degree,
     bm_is_legal,
     bm_term,
@@ -49,8 +49,8 @@ def test_unit_and_scalars(engine):
 
 
 def test_atom_order_is_graded():
-    atoms = [E_R, E_S, z_atom(2, "r"), z_atom(2, "s"), z_atom(3, "r")]
-    assert sorted(atoms, key=atom_order) == atoms
+    atoms = [E_R, E_S, Z1, z_atom(2, "r"), z_atom(2, "s"), z_atom(3, "r")]
+    assert sorted(atoms) == atoms
 
 
 def test_frozen_normal_forms(engine):
@@ -168,7 +168,7 @@ def test_degree_bookkeeping(engine):
     assert nf.degrees() == {10}
     for bm in nf.terms:
         assert bm_degree(bm) == 10
-    assert UNIT == (0, 0, None, ())
+    assert UNIT == (0, 0, (), ())
     assert bm_degree(UNIT) == 0
     assert bm_degree(P_BM) == 2
 

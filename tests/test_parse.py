@@ -118,10 +118,13 @@ def outcome(lang, text):
         return "!" + type(exc).__name__
 
 
-# recorded before the parsers shared one grammar skeleton
+# recorded before the parsers shared one grammar skeleton; "term" was
+# re-recorded when the printer began to print prod(-1, -2) as "-(-2)"
+# instead of "--2", which turned one printed text from a parse error
+# into a parse
 PINNED = {
     "coeff": "4427af6b64ba13522298e2b7c7c8dc3c745ed6434c9da13d892867c747352db1",
-    "term": "470eae8d089c50261791d2839c2b9abbff87124628fbc2ee7079042be2208712",
+    "term": "f72083a81c685973aaaff225936d2d044267b56037dc0ea06e4f9315657e6ed2",
     "manifold": "dd86c7f5e927aaa383ffe704fe9e4259dd08ac3702e8c88f9cf50c9caca6782c",
 }
 

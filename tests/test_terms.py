@@ -71,6 +71,7 @@ def test_printed_forms():
     assert term_text(t_gamma("s", t_zgen(2, "r"))) == "G_s(Z(2,r))"
     assert term_text(t_bar(t_euler("r"))) == "bar(e_r)"
     assert term_text(t_int(0)) == "0"
+    assert term_text(t_sum(t_euler("r"), t_prod(t_int(-1), t_int(-2)))) == "e_r - (-2)"
     assert "sigma(" in term_text(t_coeff(cp(1) + 2))
 
 
@@ -107,7 +108,7 @@ def test_parse_errors():
 
 def test_print_parse_round_trip_random():
     rng = random.Random(11)
-    for _ in range(400):
+    for _ in range(20_000):
         t = random_term(rng, depth=3, max_z=5)
         again = parse_term(term_text(t))
         assert term_canon(again) == term_canon(t), term_text(t)
