@@ -115,3 +115,7 @@ class AugEnv:
                     acc = acc + p_coeff(k) * memo[(n - 1 - k, e_r)]
                 memo[(n, e_r)] = acc
         return memo[(j, e_r)]
+
+
+# one shared augmentation memo; it is a pure function of the term
+AUG = AugEnv()

@@ -78,14 +78,72 @@ def aug_symbol_key(j: int, base: str) -> GenKey:
     return ("A", j, base, 2 * j + base_key_degree(base))
 
 
-class CoeffElement:
-    """Sparse polynomial: monomial -> nonzero int.
+class Sparse:
+    """Sparse map ``terms``: key -> nonzero coefficient, the root of the
+    coefficient ring, both localized presentations and the normal forms.
 
-    A monomial is a sorted tuple of (stored generator key, exponent >= 1)
-    pairs.  Instances are treated as immutable once built.
+    Subclasses build ``terms`` in ``__init__`` from a mapping, and supply
+    ``degrees`` (the set of degrees present), ``__str__`` and, for
+    powers, the unit ``one``.  Instances are treated as immutable once
+    built.
     """
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined here")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # --- grading --------------------------------------------------------
+
+    def is_homogeneous(self) -> bool:
+        return len(self.degrees()) <= 1
+
+    def degree(self):
+        """The common degree, None for 0; inhomogeneous input is an error."""
+        ds = self.degrees()
+        if not ds:
+            return None
+        if len(ds) > 1:
+            raise ValueError("inhomogeneous element has no degree: %s" % self)
+        return ds.pop()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class CoeffElement(Sparse):
+    """Sparse polynomial: monomial -> nonzero int.
+
+    A monomial is a sorted tuple of (stored generator key, exponent >= 1)
+    pairs.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
@@ -93,18 +151,20 @@ class CoeffElement:
     # --- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "CoeffElement":
-        return CoeffElement()
-
-    @staticmethod
     def integer(n: int) -> "CoeffElement":
         return CoeffElement({(): n}) if n else CoeffElement()
+
+    @staticmethod
+    def one() -> "CoeffElement":
+        return CoeffElement({(): 1})
 
     @staticmethod
     def gen(key: GenKey) -> "CoeffElement":
         return CoeffElement({((_intern(key), 1),): 1})
 
     # --- ring operations ----------------------------------------------
+    # (the per-layer tracer of the bench harness wraps these operators in
+    # this class's own namespace, so the inherited ones are bound here)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -118,9 +178,8 @@ class CoeffElement:
         return CoeffElement(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return CoeffElement({m: -c for m, c in self.terms.items()})
+    __neg__ = Sparse.__neg__
+    __pow__ = Sparse.__pow__
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -157,18 +216,6 @@ class CoeffElement:
             return CoeffElement()
         return CoeffElement({m: c * n for m, c in self.terms.items()})
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = CoeffElement.integer(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = CoeffElement.integer(other)
@@ -177,30 +224,14 @@ class CoeffElement:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        # a constant equals its int, so it hashes as that int
+        n = self.as_int()
+        return Sparse.__hash__(self) if n is None else hash(n)
 
     # --- grading --------------------------------------------------------
 
     def degrees(self) -> set:
         return {_mono_degree(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self):
-        """The common degree, None for 0; inhomogeneous input is an error."""
-        ds = self.degrees()
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError("inhomogeneous element has no degree: %s" % self)
-        return ds.pop()
 
     def homogeneous_component(self, d: int) -> "CoeffElement":
         return CoeffElement(
@@ -258,28 +289,11 @@ class CoeffElement:
     # --- rendering ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         items = sorted(
             self.terms.items(),
             key=lambda kv: (_mono_degree(kv[0]), kv[0]),
         )
-        parts = []
-        for idx, (mono, c) in enumerate(items):
-            body = _mono_str(mono)
-            mag = abs(c)
-            if body:
-                text = body if mag == 1 else "%d*%s" % (mag, body)
-            else:
-                text = str(mag)
-            if idx == 0:
-                parts.append("-" + text if c < 0 else text)
-            else:
-                parts.append((" - " if c < 0 else " + ") + text)
-        return "".join(parts)
-
-    def __repr__(self):
-        return "CoeffElement(%s)" % self
+        return signed_join([weighted(c, _mono_str(m)) for m, c in items]) or "0"
 
 
 def _coerce(value) -> CoeffElement:
@@ -334,7 +348,7 @@ def aug_symbol_name(key: GenKey) -> str:
     return _gen_name(_intern(key))
 
 
-# --- parsing -----------------------------------------------------------
+# --- parsing and printing ----------------------------------------------
 
 
 class CoeffParseError(ValueError):
@@ -468,6 +482,25 @@ class _Scanner:
         if n < 1:
             raise CoeffParseError("index must be >= 1, got %d" % n)
         return n, flavor
+
+
+def signed_join(texts: list) -> str:
+    """Summand texts as ``_Scanner.signed`` reads them back: ['a', '-b',
+    'c'] joins to 'a - b + c'; no summands join to ''."""
+    if not texts:
+        return ""
+    return texts[0] + "".join(
+        " - " + t[1:] if t.startswith("-") else " + " + t for t in texts[1:]
+    )
+
+
+def weighted(w: int, body: str) -> str:
+    """Text of w times body: 'body', '-body', '3*body', '-3*body' (and
+    '-0*body'); the integer alone when body is empty."""
+    if not body:
+        return str(w)
+    text = body if abs(w) == 1 else "%d*%s" % (abs(w), body)
+    return text if w > 0 else "-" + text
 
 
 def parse_coeff(text: str) -> CoeffElement:

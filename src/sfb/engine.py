@@ -52,12 +52,9 @@ from .terms import (
     t_zgen,
     term_text,
 )
-from .aug import AugEnv
+from .aug import AUG
 
 DEFAULT_STEP_BUDGET = 10 ** 6
-
-# one shared augmentation memo; it is a pure function of the term
-AUG = AugEnv()
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -197,6 +194,8 @@ class NormalForm(Combination):
     def text(self) -> str:
         return term_text(self.to_term())
 
+    __str__ = text
+
     def to_json(self) -> list:
         return [
             bm_json(bm, self.terms[bm])
@@ -216,9 +215,6 @@ class NormalForm(Combination):
         for bm, c in self.terms.items():
             acc = acc + c * AUG.aug(bm_term(bm))
         return acc
-
-    def __repr__(self):
-        return "NormalForm<%s>" % self.text()
 
 
 # --- localized evaluation ---------------------------------------------------

@@ -26,10 +26,10 @@ from __future__ import annotations
 import random
 from math import comb, prod
 
-from .coeff import CoeffElement, _Scanner
+from .coeff import CoeffElement, _Scanner, signed_join, weighted
 from .phi import PhiElement, mono_json, z_gen
+from .aug import AUG
 from .terms import t_gamma, t_int, t_prod, t_sum, t_zgen
-from .engine import AUG
 
 
 class NonIsolatedError(ValueError):
@@ -402,22 +402,7 @@ def _mtext(m: tuple, level: int) -> str:
         body = " x ".join(parts)
         return "(%s)" % body if level == 1 else body
     if tag == "union":
-        chunks = []
-        for w, sub in m[1]:
-            body = _mtext(sub, 1)
-            if w == 1:
-                chunks.append(("+", body))
-            elif w == -1:
-                chunks.append(("-", body))
-            else:
-                sign = "+" if w > 0 else "-"
-                chunks.append((sign, "%d*%s" % (abs(w), body)))
-        out = ""
-        for idx, (sign, body) in enumerate(chunks):
-            if idx == 0:
-                out = body if sign == "+" else "-" + body
-            else:
-                out += " %s %s" % (sign, body)
+        out = signed_join([weighted(w, _mtext(sub, 1)) for w, sub in m[1]])
         return "(%s)" % out if level == 1 else out
     raise ValueError("unknown manifold tag %r" % (tag,))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 
-from .coeff import CoeffElement, ONE
+from .coeff import CoeffElement, ONE, Sparse, signed_join, weighted
 
 
 Flavor = str  # 'r' or 's'
@@ -61,16 +61,16 @@ def mono_degree(m: tuple) -> int:
     return -2 * m[0] - 2 * m[1] + sum(2 * n + 2 for n, _ in m[2])
 
 
-class Combination:
+class Combination(Sparse):
     """Sparse map key -> nonzero CoeffElement, the algebra shared by the
     localized images and the normal forms.
 
-    Subclasses name their key degree in ``_key_degree``.  Instances are
-    treated as immutable once built; only ``add_scaled`` changes one in
-    place, for accumulators still being built.
+    Subclasses name their key degree in ``_key_degree``.  Only
+    ``add_scaled`` changes an instance in place, for accumulators still
+    being built.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -78,10 +78,6 @@ class Combination:
             for k, c in dict(terms).items():
                 if c.terms:
                     self.terms[k] = c
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def add_scaled(self, other, c):
         """self += c * other, in place; c is a CoeffElement or an int."""
@@ -101,9 +97,6 @@ class Combination:
         out.add_scaled(other, 1)
         return out
 
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other):
         return self + (-other)
 
@@ -119,16 +112,8 @@ class Combination:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # --- grading ----------------------------------------------------------
+    # defining __eq__ unbinds the inherited hash
+    __hash__ = Sparse.__hash__
 
     def degrees(self) -> set:
         out = set()
@@ -136,17 +121,6 @@ class Combination:
             kd = self._key_degree(k)
             out.update(kd + cd for cd in c.degrees())
         return out
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self):
-        ds = self.degrees()
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError("inhomogeneous element has no degree: %s" % self)
-        return ds.pop()
 
     # --- A-symbols ----------------------------------------------------------
 
@@ -177,6 +151,7 @@ class PhiElement(Combination):
     __add__ = Combination.__add__
     __neg__ = Combination.__neg__
     __sub__ = Combination.__sub__
+    __pow__ = Combination.__pow__
     scale = Combination.scale
 
     # --- constructors ---------------------------------------------------
@@ -219,18 +194,6 @@ class PhiElement(Combination):
                     out.pop(m, None)
         return type(self)(out)
 
-    def __pow__(self, n: int) -> "PhiElement":
-        if n < 0:
-            raise ValueError("use explicit Euler monomials for inverses")
-        result = PhiElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def homogeneous_component(self, d: int) -> "PhiElement":
         if d % 2:
             warnings.warn("odd-degree component requested; the ring is even")
@@ -269,18 +232,9 @@ class PhiElement(Combination):
     # --- rendering ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = [
-            _term_text(m, c, self._letter) for m, c in sorted(self.terms.items())
-        ]
-        text = parts[0]
-        for p in parts[1:]:
-            text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return text
-
-    def __repr__(self):
-        return "PhiElement(%s)" % self
+        return signed_join(
+            [_term_text(m, c, self._letter) for m, c in sorted(self.terms.items())]
+        ) or "0"
 
     def to_json(self) -> list:
         return [
@@ -301,16 +255,11 @@ def _term_text(m: tuple, c: CoeffElement, letter: str) -> str:
         factors.append("e_s" if b == 1 else "e_s^%d" % b)
     factors.extend("%s(%d,%s)" % (letter, n, fl) for n, fl in gens)
     body = "*".join(factors)
-    ctext = str(c)
-    if not body:
-        return ctext if len(c.terms) == 1 else "(%s)" % ctext
-    if c == ONE:
-        return body
-    if c == CoeffElement.integer(-1):
-        return "-" + body
-    if len(c.terms) == 1:
-        return "%s*%s" % (ctext, body)
-    return "(%s)*%s" % (ctext, body)
+    n = c.as_int()
+    if n is not None:
+        return weighted(n, body)
+    ctext = str(c) if len(c.terms) == 1 else "(%s)" % c
+    return "%s*%s" % (ctext, body) if body else ctext
 
 
 # --- designated generators ------------------------------------------------

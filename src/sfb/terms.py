@@ -33,6 +33,7 @@ from .coeff import (
     _parse_coeff_sum,
     is_coeff_atom_start,
     parse_coeff_atom,
+    signed_join,
 )
 
 
@@ -206,10 +207,7 @@ def _text(t: tuple, level: int) -> str:
     if tag == "bar":
         return "bar(%s)" % _text(t[1], 0)
     if tag == "sum":
-        parts = [_text(s, 0) for s in t[1]]
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
+        out = signed_join([_text(s, 0) for s in t[1]])
         return "(%s)" % out if level == 1 else out
     if tag == "prod":
         factors = t[1]

@@ -394,3 +394,16 @@ def test_installed_console_script():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == "e_r"
+
+
+def test_bench_tracer_binds_every_entry():
+    # bench/layers.py wraps its SPANS, LEAVES and COUNTERS by name, each
+    # leaf in its class's own namespace; install() raises on any entry it
+    # cannot resolve or rebind
+    code = "import sfb.cli, layers; layers.install(); print('installed')"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=PYPROJECT.parent / "bench", env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "installed\n"

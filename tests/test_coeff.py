@@ -12,6 +12,16 @@ from sfb.coeff import (
 )
 
 
+@pytest.mark.parametrize("n", (-2, 0, 1, 3))
+def test_constant_hashes_as_its_int(n):
+    # a constant compares equal to its int, so sets and dicts must agree
+    c = CoeffElement.integer(n)
+    assert c == n and hash(c) == hash(n)
+    assert c in {n} and n in {c}
+    assert {c: "c"}[n] == "c"
+    assert hash(c + cp(1) - cp(1)) == hash(n)
+
+
 def test_zero_and_one():
     z = CoeffElement.zero()
     one = CoeffElement.integer(1)

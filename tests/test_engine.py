@@ -58,6 +58,9 @@ def test_frozen_normal_forms(engine):
         "G_r(G_s(G_s(e_r))) + G_r(G_r(G_s(e_r)))"
     )
     assert engine.normalize(t_prod(t_euler("r"), P_TERM)).text() == "1 + G_s(e_r)"
+    nf = engine.normalize(t_prod(P_TERM, P_TERM))
+    assert str(nf) == nf.text()
+    assert repr(nf) == "NormalForm(G_r(G_s(G_s(e_r))) + G_r(G_r(G_s(e_r))))"
     assert engine.normalize(t_gamma("s", t_gamma("r", t_euler("s")))) == NormalForm.of(
         P_BM
     )

@@ -1,6 +1,7 @@
 """The three expression parsers: results pinned over seeded corpora, and a
 token-level property that every text parses or raises the parser's own
-error class."""
+error class.  The X-presentation text of the seeded corpora is pinned
+too."""
 
 import hashlib
 import random
@@ -97,6 +98,7 @@ def grammar_text(rng, language, depth=2):
 
 
 def corpora():
+    """(texts per language, X-presentation images of the seeded expressions)."""
     rng = random.Random(8)
     terms = [random_term(rng, depth=3, max_z=4) for _ in range(150)]
     manifolds = [random_manifold(rng, depth=3) for _ in range(150)]
@@ -107,7 +109,7 @@ def corpora():
     texts["coeff"] += sorted({str(c) for image in images for c in image.terms.values()})
     for lang in texts:
         texts[lang] += [grammar_text(rng, lang) for _ in range(150)]
-    return texts
+    return texts, images
 
 
 def outcome(lang, text):
@@ -129,15 +131,28 @@ PINNED = {
 }
 
 
+# str() of lambda_term over the seeded terms, then of lambda_manifold over
+# the seeded manifolds; recorded before the signed-sum printers shared one
+# joiner
+PINNED_X_TEXT = "70752ebb4bde6b1d9eba6078f3de8402e20eb12a4de73aae97a5cbb288a559b8"
+
+
 @pytest.fixture(scope="module")
-def texts():
+def corpus():
     return corpora()
 
 
 @pytest.mark.parametrize("lang", sorted(PARSERS))
-def test_parse_results_are_pinned(texts, lang):
+def test_parse_results_are_pinned(corpus, lang):
+    texts, _ = corpus
     outcomes = "\n".join("%r -> %s" % (text, outcome(lang, text)) for text in texts[lang])
     assert hashlib.sha256(outcomes.encode()).hexdigest() == PINNED[lang]
+
+
+def test_x_presentation_text_is_pinned(corpus):
+    _, images = corpus
+    text = "\n".join(str(image) for image in images)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_X_TEXT
 
 
 # Texts are token sequences joined by spaces, so digits never run together:

@@ -143,6 +143,9 @@ def test_z_presentation_text_is_pinned():
         " + g1*e_r^-1*Z(2,r)*Z(3,s) + (-g2 + A(1;P))*e_s^-3"
         " + (g2 - A(1;P))*e_s^-1*Z(2,s) - Z(3,r) + 3*e_s^2"
     )
+    assert repr(p) == "PhiElement(%s)" % p
+    assert repr(z) == "ZElement(%s)" % z
+    assert repr(to_z_basis(z_gen(2, "s"))) == "ZElement(Z(2,s))"
     # Z(n,V) has degree 2n, X(n,V) degree 2n + 2
     assert z.degrees() == p.degrees() == {-4, 6, 10, 14}
     assert not hasattr(z, "is_in_F") and not hasattr(z, "to_json")

@@ -1,6 +1,10 @@
 import ast
+import json
 import re
+import shlex
 from pathlib import Path
+
+from sfb.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +25,30 @@ def test_readme_library_example_runs_as_documented():
         else:
             exec(code, env)
     assert checked == 3
+
+
+def cli_examples():
+    """(argv, stdout JSON, exit code or None) of every README example
+    whose shown output is complete: a blank-line separated group that
+    opens with one '$ sfb' line and holds no '...'."""
+    blocks = re.findall(r"```\n(.*?)```", README.read_text(), re.S)
+    for group in "\n".join(blocks).split("\n\n"):
+        command, *shown = group.strip().splitlines()
+        if not command.startswith("$ sfb ") or "..." in group:
+            continue
+        output, _, code = "\n".join(shown).partition("# exit ")
+        yield shlex.split(command[len("$ sfb "):]), json.loads(output), (
+            int(code) if code else None
+        )
+
+
+def test_readme_cli_examples_run_as_documented(capsys):
+    ran = 0
+    for argv, expected, code in cli_examples():
+        status = main(argv)
+        assert json.loads(capsys.readouterr().out) == expected, argv
+        if code is not None:
+            assert status == code, argv
+        ran += 1
+    # lambda twice, normalize, geometric "e_r", cobordant twice, subst
+    assert ran == 7
