@@ -33,7 +33,6 @@ from .engine import (
     verify_relations,
 )
 from .manifold import (
-    ManifoldParseError,
     check_cobordant,
     fixed_data_from_json,
     fixed_data_to_json,
@@ -42,7 +41,7 @@ from .manifold import (
     realize_iterative,
     verify_manifold_relations,
 )
-from .terms import TermParseError, parse_term
+from .terms import parse_term
 
 
 def _emit(doc) -> None:
@@ -261,14 +260,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CoeffParseError,
-        TermParseError,
-        ManifoldParseError,
-        json.JSONDecodeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # every parse error, and invalid JSON, is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:

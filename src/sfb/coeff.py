@@ -22,6 +22,9 @@ from operator import mul
 #   ('A', j, base, deg) -> A(j;base), degree deg (even), j >= 1
 GenKey = tuple
 
+# The two circle characters: every flavor letter is one of these.
+FLAVORS = ("r", "s")
+
 # Inside monomials a generator is stored as its own sort key:
 #   (0, n, "")            for g_n
 #   (1, deg, "A(j;base)") for A(j;base)
@@ -60,7 +63,7 @@ def base_key_degree(base: str) -> int:
         inner = base[2:-1]
         n_text, flavor = inner.split(",")
         n = int(n_text)
-        if n >= 1 and flavor in ("r", "s"):
+        if n >= 1 and flavor in FLAVORS:
             return 2 * n
     raise ValueError(
         "unknown A-symbol base %r (base keys are 'P' or 'Z(n,r)'/'Z(n,s)')" % (base,)
@@ -167,7 +170,7 @@ class CoeffElement(Sparse):
     # this class's own namespace, so the inherited ones are bound here)
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = coerce(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
             s = out.get(mono, 0) + c
@@ -182,15 +185,15 @@ class CoeffElement(Sparse):
     __pow__ = Sparse.__pow__
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-coerce(other))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return coerce(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self._times_int(other)
-        other = _coerce(other)
+        other = coerce(other)
         a, b = self.terms, other.terms
         if len(b) == 1 and () in b:
             return self._times_int(b[()])
@@ -266,7 +269,7 @@ class CoeffElement(Sparse):
         for key, value in assignments.items():
             if key[0] != "A":
                 raise ValueError("only A-symbols may be substituted: %r" % (key,))
-            value = _coerce(value)
+            value = coerce(value)
             vdeg = value.degree()
             if vdeg is not None and vdeg != key[3]:
                 raise ValueError(
@@ -296,7 +299,9 @@ class CoeffElement(Sparse):
         return signed_join([weighted(c, _mono_str(m)) for m, c in items]) or "0"
 
 
-def _coerce(value) -> CoeffElement:
+def coerce(value) -> CoeffElement:
+    """value in the ring: an int as a constant, any other type but
+    CoeffElement a TypeError."""
     if isinstance(value, CoeffElement):
         return value
     if isinstance(value, int):
@@ -355,6 +360,13 @@ class CoeffParseError(ValueError):
     pass
 
 
+def check_flavor(flavor: str) -> str:
+    """flavor itself, if it names one of the two circle characters."""
+    if flavor not in FLAVORS:
+        raise ValueError("flavor must be 'r' or 's', got %r" % (flavor,))
+    return flavor
+
+
 class _Scanner:
     """Shared tokenizer and expression-grammar skeleton.
 
@@ -409,7 +421,7 @@ class _Scanner:
 
     def flavor(self) -> str:
         """One flavor letter, r or s."""
-        for fl in ("r", "s"):
+        for fl in FLAVORS:
             if self.take(fl):
                 return fl
         raise CoeffParseError(

@@ -30,7 +30,7 @@ import itertools
 import os
 import random
 
-from .coeff import CoeffElement, ONE, ZERO, aug_symbol_name, cp
+from .coeff import FLAVORS, CoeffElement, ONE, ZERO, aug_symbol_name, coerce, cp
 from .phi import (
     Combination,
     PhiElement,
@@ -96,6 +96,7 @@ def atom_name(atom: tuple) -> str:
 
 UNIT = (0, 0, (), ())
 P_BM = (1, 1, E_R, ())
+P_TERM = t_gamma("r", t_gamma("s", E_R))  # bm_term(P_BM), the sphere class P
 
 
 def mk_plain(atoms) -> tuple:
@@ -166,15 +167,11 @@ class NormalForm(Combination):
 
     @staticmethod
     def unit(c=ONE) -> "NormalForm":
-        if isinstance(c, int):
-            c = CoeffElement.integer(c)
-        return NormalForm({UNIT: c})
+        return NormalForm.of(UNIT, c)
 
     @staticmethod
     def of(bm: tuple, c=ONE) -> "NormalForm":
-        if isinstance(c, int):
-            c = CoeffElement.integer(c)
-        return NormalForm({bm: c})
+        return NormalForm({bm: coerce(c)})
 
     def to_term(self) -> tuple:
         if not self.terms:
@@ -552,11 +549,10 @@ def swap_division_flavor(t: tuple) -> tuple:
     if t[0] != "gamma":
         raise ValueError("expected an operator application")
     flavor, y = t[1], t[2]
-    p_term = t_gamma("r", t_gamma("s", t_euler("r")))
     other = "r" if flavor == "s" else "s"
     diff = t_sum(y, t_prod(t_int(-1), t_bar(y)))
     out = t_sum(
-        t_prod(p_term, diff),
+        t_prod(P_TERM, diff),
         t_prod(t_int(-1), t_gamma(other, y)),
     )
     if lambda_term(t) != lambda_term(out):
@@ -622,10 +618,10 @@ def _word_ok(variant: str, i: int, j: int, x: tuple, m: tuple) -> bool:
 
 def _multisets(atoms, room, e_budget):
     """All multisets over `atoms` of degree at most `room` and with at
-    most e_budget e-atoms, as sorted tuples.  `atoms` is sorted
-    ascending: the e-atoms (degree -2) come first, each one taken widens
-    the room, and the positive atoms follow in nondecreasing degree, so
-    the first one that does not fit ends the search."""
+    most e_budget e-atoms, as (room left, sorted tuple) pairs.  `atoms`
+    is sorted ascending: the e-atoms (degree -2) come first, each one
+    taken widens the room, and the positive atoms follow in nondecreasing
+    degree, so the first one that does not fit ends the search."""
     out = []
 
     def rec(idx, room, e_room, head):
@@ -641,7 +637,7 @@ def _multisets(atoms, room, e_budget):
                     rec(idx + 1, room - d * count, e_room, head + (a,) * count)
                 return
         if room >= 0:
-            out.append(head)
+            out.append((room, head))
 
     rec(0, room, e_budget, ())
     return out
@@ -649,11 +645,11 @@ def _multisets(atoms, room, e_budget):
 
 def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 4):
     """All candidate basis monomials of degree <= degree_bound whose
-    Euler/operator complexity fits the truncation bound."""
+    Euler/operator complexity fits the truncation bound, by degree."""
     n = truncation
     is_musf = variant.startswith("musf")
     atoms = _variant_atoms(variant, degree_bound + (2 * n if is_musf else 0))
-    out = [UNIT]
+    out = [(0, UNIT)]
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for x_idx, x in enumerate(atoms):
@@ -662,13 +658,13 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
                     continue
                 word = (i, j) != (0, 0)
                 room = degree_bound - 2 * (i + j) - atom_degree(x)
-                for m in _multisets(
+                for left, m in _multisets(
                     atoms[x_idx:], room, n - base_cost if is_musf else n
                 ):
                     if not word or _word_ok(variant, i, j, x, m):
-                        out.append((i, j, x, m))
-    out.sort(key=lambda bm: (bm_degree(bm), bm))
-    return out
+                        out.append((degree_bound - left, (i, j, x, m)))
+    out.sort()
+    return [bm for _, bm in out]
 
 
 def _leading(image, order: str):
@@ -799,94 +795,68 @@ def verify_relations(samples: int = 200, seed: int = 0, convention: str = "same"
     instances.  The reordering identity is checked with both flavors of
     the scalar coefficient; only the s-flavored choice vanishes."""
     rng = random.Random(seed)
-    p_term = t_gamma("r", t_gamma("s", t_euler("r")))
-    checks = {
-        "divide_multiply": 0,
-        "exchange": 0,
-        "multiply_divide": 0,
-        "euler_vanishes": 0,
-        "product_formula": 0,
-        "flavor_swap": 0,
-        "reorder_corrected": 0,
-    }
+    checks = dict.fromkeys((
+        "divide_multiply", "exchange", "multiply_divide", "euler_vanishes",
+        "product_formula", "flavor_swap", "reorder_corrected",
+    ), 0)
     failures = []
+
+    def check(name, residue, flavor=None):
+        if residue.is_zero():
+            checks[name] += 1
+        else:
+            failures.append((name, flavor, k))
+
+    def lam(t):
+        return lambda_term(t, convention)
+
+    lam_p = lam(P_TERM)
+
+    def reorder(x):
+        """Residues of G_s G_r(x) - G_r G_s(x) - c P for c = bar(G_s x)
+        (corrected) and c = bar(G_r x) (literal)."""
+        diff = lam(t_gamma("s", t_gamma("r", x))) - lam(t_gamma("r", t_gamma("s", x)))
+        return tuple(diff - lam_p.scale(AUG.aug(t_gamma(fl, x))) for fl in "sr")
+
     literal_nonzero = 0
-    literal_zero = 0
     for k in range(samples):
         x = random_term(rng, depth=3, max_z=5)
         y = random_term(rng, depth=2, max_z=5)
-        lam_x = lambda_term(x, convention)
-        lam_y = lambda_term(y, convention)
+        lam_x, lam_y = lam(x), lam(y)
         xbar = PhiElement.const(AUG.aug(x))
         ybar = PhiElement.const(AUG.aug(y))
-        for flavor in ("r", "s"):
-            e = PhiElement.euler(flavor, 1)
-            gx = lambda_term(t_gamma(flavor, x), convention)
-            gy = lambda_term(t_gamma(flavor, y), convention)
+        for flavor in FLAVORS:
+            gx = lam(t_gamma(flavor, x))
+            gy = lam(t_gamma(flavor, y))
             # e_V * G_V(x) = x - bar x
-            if (e * gx - (lam_x - xbar)).is_zero():
-                checks["divide_multiply"] += 1
-            else:
-                failures.append(("divide_multiply", flavor, k))
+            e_gx = PhiElement.euler(flavor) * gx
+            check("divide_multiply", e_gx - (lam_x - xbar), flavor)
             # G_V(x)(y - bar y) = (x - bar x) G_V(y)
-            if (gx * (lam_y - ybar) - (lam_x - xbar) * gy).is_zero():
-                checks["exchange"] += 1
-            else:
-                failures.append(("exchange", flavor, k))
+            check("exchange", gx * (lam_y - ybar) - (lam_x - xbar) * gy, flavor)
             # G_V(e_V x) = x
-            gex = lambda_term(t_gamma(flavor, t_prod(t_euler(flavor), x)), convention)
-            if (gex - lam_x).is_zero():
-                checks["multiply_divide"] += 1
-            else:
-                failures.append(("multiply_divide", flavor, k))
+            gex = lam(t_gamma(flavor, t_prod(t_euler(flavor), x)))
+            check("multiply_divide", gex - lam_x, flavor)
             # bar(e_V) = 0
-            if AUG.aug(t_euler(flavor)).is_zero():
-                checks["euler_vanishes"] += 1
-            else:
-                failures.append(("euler_vanishes", flavor, k))
+            check("euler_vanishes", AUG.aug(t_euler(flavor)), flavor)
             # G_V(xy) = G_V(x) y + bar(x) G_V(y)
-            gxy = lambda_term(t_gamma(flavor, t_prod(x, y)), convention)
-            if (gxy - (gx * lam_y + gy.scale(AUG.aug(x)))).is_zero():
-                checks["product_formula"] += 1
-            else:
-                failures.append(("product_formula", flavor, k))
+            gxy = lam(t_gamma(flavor, t_prod(x, y)))
+            check("product_formula", gxy - (gx * lam_y + gy.scale(AUG.aug(x))), flavor)
         # G_s(y) = P (y - bar y) - G_r(y)
-        lhs = lambda_term(t_gamma("s", y), convention)
-        rhs = lambda_term(p_term, convention) * (lam_y - ybar) - lambda_term(
-            t_gamma("r", y), convention
-        )
-        if (lhs - rhs).is_zero():
-            checks["flavor_swap"] += 1
-        else:
-            failures.append(("flavor_swap", None, k))
+        rhs = lam_p * (lam_y - ybar) - lam(t_gamma("r", y))
+        check("flavor_swap", lam(t_gamma("s", y)) - rhs)
         # reordering: G_s G_r(x) = G_r G_s(x) + bar(G_s x) P
-        lam_p = lambda_term(p_term, convention)
-        sr = lambda_term(t_gamma("s", t_gamma("r", x)), convention)
-        rs = lambda_term(t_gamma("r", t_gamma("s", x)), convention)
-        corrected = sr - rs - lam_p.scale(AUG.aug(t_gamma("s", x)))
-        if corrected.is_zero():
-            checks["reorder_corrected"] += 1
-        else:
-            failures.append(("reorder_corrected", None, k))
-        literal = sr - rs - lam_p.scale(AUG.aug(t_gamma("r", x)))
-        if literal.is_zero():
-            literal_zero += 1
-        else:
-            literal_nonzero += 1
+        corrected, literal = reorder(x)
+        check("reorder_corrected", corrected)
+        literal_nonzero += not literal.is_zero()
     # fixed witness: the r-flavored coefficient fails already on x = e_s
-    e_s = t_euler("s")
-    sr = lambda_term(t_gamma("s", t_gamma("r", e_s)), convention)
-    rs = lambda_term(t_gamma("r", t_gamma("s", e_s)), convention)
-    lam_p = lambda_term(p_term, convention)
-    witness_literal = sr - rs - lam_p.scale(AUG.aug(t_gamma("r", e_s)))
-    witness_corrected = sr - rs - lam_p.scale(AUG.aug(t_gamma("s", e_s)))
+    witness_corrected, witness_literal = reorder(E_S)
     return {
         "samples": samples,
         "seed": seed,
         "checks": checks,
         "failures": failures,
         "reorder_literal": {
-            "zero_instances": literal_zero,
+            "zero_instances": max(samples, 0) - literal_nonzero,
             "nonzero_instances": literal_nonzero,
             "witness_x_es_nonzero": not witness_literal.is_zero(),
             "witness_x_es_residue": str(witness_literal),

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from math import comb, prod
 
-from .coeff import CoeffElement, _Scanner, signed_join, weighted
+from .coeff import CoeffElement, _Scanner, check_flavor, signed_join, weighted
 from .phi import PhiElement, mono_json, z_gen
 from .aug import AUG
 from .terms import t_gamma, t_int, t_prod, t_sum, t_zgen
@@ -46,9 +46,7 @@ class ManifoldParseError(ValueError):
 def m_pc(n: int, flavor: str) -> tuple:
     if n < 1:
         raise ValueError("projective-space index must be >= 1")
-    if flavor not in ("r", "s"):
-        raise ValueError("flavor must be 'r' or 's'")
-    return ("pc", n, flavor)
+    return ("pc", n, check_flavor(flavor))
 
 
 def m_point() -> tuple:

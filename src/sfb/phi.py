@@ -22,17 +22,10 @@ from __future__ import annotations
 
 import warnings
 
-from .coeff import CoeffElement, ONE, Sparse, signed_join, weighted
+from .coeff import CoeffElement, ONE, Sparse, check_flavor, coerce, signed_join, weighted
 
 
 Flavor = str  # 'r' or 's'
-
-_FLAVORS = ("r", "s")
-
-
-def _check_flavor(flavor: str):
-    if flavor not in _FLAVORS:
-        raise ValueError("flavor must be 'r' or 's', got %r" % (flavor,))
 
 
 def mono(a: int, b: int, xs=()) -> tuple:
@@ -40,7 +33,7 @@ def mono(a: int, b: int, xs=()) -> tuple:
     ea, eb = a, b
     kept = []
     for n, flavor in xs:
-        _check_flavor(flavor)
+        check_flavor(flavor)
         if n < 0:
             raise ValueError("X index must be >= 0")
         if n == 0:
@@ -51,6 +44,11 @@ def mono(a: int, b: int, xs=()) -> tuple:
         else:
             kept.append((n, flavor))
     return (ea, eb, tuple(sorted(kept)))
+
+
+def euler_mono(flavor: Flavor, k: int) -> tuple:
+    """The monomial e_V^k."""
+    return (k, 0, ()) if check_flavor(flavor) == "r" else (0, k, ())
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -101,8 +99,7 @@ class Combination(Sparse):
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = CoeffElement.integer(c)
+        c = coerce(c)
         if c.is_zero():
             return type(self)()
         return type(self)({k: c * v for k, v in self.terms.items()})
@@ -162,14 +159,11 @@ class PhiElement(Combination):
 
     @staticmethod
     def const(c) -> "PhiElement":
-        if isinstance(c, int):
-            c = CoeffElement.integer(c)
-        return PhiElement({mono(0, 0): c})
+        return PhiElement({mono(0, 0): coerce(c)})
 
     @staticmethod
     def euler(flavor: Flavor, exp: int = 1) -> "PhiElement":
-        _check_flavor(flavor)
-        return PhiElement({(exp, 0, ()) if flavor == "r" else (0, exp, ()): ONE})
+        return PhiElement({euler_mono(flavor, exp): ONE})
 
     @staticmethod
     def x_gen(n: int, flavor: Flavor) -> "PhiElement":
@@ -272,7 +266,7 @@ def z_gen(n: int, flavor: Flavor, convention: str = "same") -> PhiElement:
     normative form is X(n-1, V) + e_V^-n; convention="mixed" uses the
     opposite Euler flavor for the pole term instead.
     """
-    _check_flavor(flavor)
+    check_flavor(flavor)
     if n < 1:
         raise ValueError("z_gen index must be >= 1")
     if convention not in ("same", "mixed"):
@@ -282,7 +276,7 @@ def z_gen(n: int, flavor: Flavor, convention: str = "same") -> PhiElement:
     pole_flavor = flavor
     if convention == "mixed":
         pole_flavor = "s" if flavor == "r" else "r"
-    pole = mono(-n, 0) if pole_flavor == "r" else (0, -n, ())
+    pole = euler_mono(pole_flavor, -n)
     return PhiElement({mono(0, 0, [(n - 1, flavor)]): ONE, pole: ONE})
 
 
@@ -313,20 +307,20 @@ def to_z_basis(p: PhiElement) -> ZElement:
     for (a, b, xs), c in p.terms.items():
         piece = ZElement({(a, b, ()): ONE})
         for n, flavor in xs:
-            pole = (-(n + 1), 0, ()) if flavor == "r" else (0, -(n + 1), ())
+            pole = euler_mono(flavor, -(n + 1))
             piece = piece * ZElement({(0, 0, ((n + 1, flavor),)): ONE, pole: -ONE})
         out.add_scaled(piece, c)
     return out
 
 
 def from_z_basis(z: ZElement) -> PhiElement:
-    """Rewrite Z(n,V) as X(n-1,V) + e_V^-n; inverse of to_z_basis."""
+    """Rewrite Z(n,V) as X(n-1,V) + e_V^-n, which is z_gen(n, V); inverse
+    of to_z_basis."""
     out = PhiElement()
     for (a, b, zs), c in z.terms.items():
         piece = PhiElement({(a, b, ()): ONE})
         for n, flavor in zs:
-            pole = mono(-n, 0) if flavor == "r" else (0, -n, ())
-            piece = piece * PhiElement({mono(0, 0, [(n - 1, flavor)]): ONE, pole: ONE})
+            piece = piece * z_gen(n, flavor)
         out.add_scaled(piece, c)
     return out
 

@@ -26,11 +26,13 @@ product, power and parenthesis rules are the shared skeleton of
 from __future__ import annotations
 
 from .coeff import (
-    CoeffElement,
+    FLAVORS,
     ONE,
     ZERO,
     _Scanner,
     _parse_coeff_sum,
+    check_flavor,
+    coerce,
     is_coeff_atom_start,
     parse_coeff_atom,
     signed_join,
@@ -45,9 +47,7 @@ class TermParseError(ValueError):
 
 
 def t_coeff(c) -> tuple:
-    if isinstance(c, int):
-        c = CoeffElement.integer(c)
-    return ("coeff", c)
+    return ("coeff", coerce(c))
 
 
 def t_int(m: int) -> tuple:
@@ -55,23 +55,17 @@ def t_int(m: int) -> tuple:
 
 
 def t_euler(flavor: str) -> tuple:
-    if flavor not in ("r", "s"):
-        raise ValueError("flavor must be 'r' or 's'")
-    return ("euler", flavor)
+    return ("euler", check_flavor(flavor))
 
 
 def t_zgen(n: int, flavor: str) -> tuple:
     if n < 1:
         raise ValueError("Z-class index must be >= 1")
-    if flavor not in ("r", "s"):
-        raise ValueError("flavor must be 'r' or 's'")
-    return ("zgen", n, flavor)
+    return ("zgen", n, check_flavor(flavor))
 
 
 def t_gamma(flavor: str, term: tuple) -> tuple:
-    if flavor not in ("r", "s"):
-        raise ValueError("flavor must be 'r' or 's'")
-    return ("gamma", flavor, term)
+    return ("gamma", check_flavor(flavor), term)
 
 
 def t_bar(term: tuple) -> tuple:
@@ -213,7 +207,7 @@ def _text(t: tuple, level: int) -> str:
         factors = t[1]
         prefix = ""
         start = 0
-        if len(factors) > 1 and factors[0] == ("coeff", CoeffElement.integer(-1)):
+        if len(factors) > 1 and factors[0] == t_int(-1):
             prefix = "-"
             start = 1
         parts = []
@@ -245,7 +239,7 @@ def _parse_product(sc: _Scanner) -> tuple:
 
 
 def _parse_atom(sc: _Scanner) -> tuple:
-    for flavor in ("r", "s"):
+    for flavor in FLAVORS:
         if sc.take("G_%s(" % flavor):
             return t_gamma(flavor, sc.closed(_parse_sum))
     if sc.take("bar("):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -217,6 +218,24 @@ def test_verify_small_sample(capsys):
     assert doc["ok"] is True
     assert doc["terms"]["reorder_literal"]["witness_x_es_nonzero"] is True
     assert doc["manifolds"]["checks"]["exchange"] == 20
+
+
+# sha256 of the whole `verify` stdout, recorded before verify_relations
+# shared one tally and one reordering residue among its identities; the
+# report does not depend on the pole convention
+VERIFY_200_0 = "79f1b8fb994aafc74272e5d22860320d64b1b3fe2c7d0e98758c917b77471b80"
+VERIFY_60_7 = "13173c1d4fe51d41ab6c1f01b66924863b3cba875c5f6eda1c98ddd648d3930f"
+
+
+@pytest.mark.parametrize("convention", ["same", "mixed"])
+@pytest.mark.parametrize(
+    "samples, seed, digest", [("200", "0", VERIFY_200_0), ("60", "7", VERIFY_60_7)]
+)
+def test_pinned_verify_reports(capsys, convention, samples, seed, digest):
+    argv = ["--z-convention", convention, "verify", "--samples", samples, "--seed", seed]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_subst_on_lambda(capsys):

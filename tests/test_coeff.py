@@ -10,6 +10,10 @@ from sfb.coeff import (
     cp,
     parse_coeff,
 )
+from sfb.engine import UNIT, NormalForm
+from sfb.manifold import m_pc
+from sfb.phi import PhiElement, mono, z_gen
+from sfb.terms import t_coeff, t_euler, t_gamma, t_int, t_zgen
 
 
 @pytest.mark.parametrize("n", (-2, 0, 1, 3))
@@ -198,3 +202,45 @@ def test_public_keys_survive_interning():
     out = x.substitute({("A", 2, "P", 6): cp(3), aug_symbol_key(1, "Z(3,s)"): 0})
     assert str(out) == "-5 + g3*A(1;P) + A(1;Z(2,r))*A(1;Z(2,s)) - 2*g2*g3^2"
     assert parse_coeff(str(out)) == out
+
+
+def _raised(call):
+    """(exception type name, message) of call(), or None if it returns."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_every_constructor_checks_flavor_with_one_message():
+    rejects = {
+        "t_euler": lambda: t_euler("q"),
+        "t_zgen": lambda: t_zgen(2, "q"),
+        "t_gamma": lambda: t_gamma("q", t_int(1)),
+        "m_pc": lambda: m_pc(2, "q"),
+        "PhiElement.euler": lambda: PhiElement.euler("q"),
+        "z_gen": lambda: z_gen(2, "q"),
+        "mono": lambda: mono(0, 0, [(1, "q")]),
+    }
+    expected = ("ValueError", "flavor must be 'r' or 's', got 'q'")
+    assert {name: _raised(call) for name, call in rejects.items()} == dict.fromkeys(
+        rejects, expected
+    )
+
+
+def test_every_constructor_coerces_coefficients_alike():
+    two = CoeffElement.integer(2)
+    assert t_coeff(2) == ("coeff", two)
+    assert NormalForm.of(UNIT, 2) == NormalForm({UNIT: two})
+    assert PhiElement.const(2) == PhiElement.one().scale(two)
+    rejects = {
+        "t_coeff": lambda: t_coeff(2.5),
+        "NormalForm.of": lambda: NormalForm.of(UNIT, 2.5),
+        "PhiElement.const": lambda: PhiElement.const(2.5),
+        "PhiElement.scale": lambda: PhiElement.one().scale(2.5),
+    }
+    expected = ("TypeError", "cannot coerce 2.5 into the coefficient ring")
+    assert {name: _raised(call) for name, call in rejects.items()} == dict.fromkeys(
+        rejects, expected
+    )
