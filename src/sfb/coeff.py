@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from functools import reduce
-from operator import mul
+from operator import mul, or_
 
 # Generator keys (the public API of gen, aug_symbols and substitute).
 #   ('g', n)            -> g_n, degree 2n
@@ -25,25 +25,39 @@ GenKey = tuple
 # The two circle characters: every flavor letter is one of these.
 FLAVORS = ("r", "s")
 
-# Inside monomials a generator is stored as its own sort key:
-#   (0, n, "")            for g_n
-#   (1, deg, "A(j;base)") for A(j;base)
+# Each generator has a stored key, its own sort key:
+#   (0, n, "", slot)            for g_n
+#   (1, deg, "A(j;base)", slot) for A(j;base)
 # so plain tuple order is the generator order (g's by index, then A's by
-# degree and rendered name) and monomial products sort without a key
-# function.  The tables are filled lazily, one entry per generator seen.
+# degree and rendered name; the slot never decides).  A monomial is one
+# int: the exponent of the generator in slot i sits in bits
+# [64i, 64i + 63), and bit 64i + 63 is a guard that no stored monomial
+# sets.  The unit monomial is 0 and a monomial product is an int sum.
+# Slots are handed out in first-seen order, so every text decodes the
+# slots and sorts on stored keys.  The tables are filled lazily, one
+# entry per generator seen.
 _STORED = {}  # public key -> stored key
 _PUBLIC = {}  # stored key -> public key
+_SLOTS = []  # slot -> stored key
+_DEGREES = []  # slot -> generator degree
+_GUARD = 0  # the guard bit of every slot
+_EXP_MASK = (1 << 64) - 1  # the bits of slot 0
 
 
 def _intern(key: GenKey) -> tuple:
+    global _GUARD
     stored = _STORED.get(key)
     if stored is None:
+        slot = len(_SLOTS)
         if key[0] == "g":
-            stored = (0, key[1], "")
+            stored = (0, key[1], "", slot)
         else:
-            stored = (1, key[3], "A(%d;%s)" % (key[1], key[2]))
+            stored = (1, key[3], "A(%d;%s)" % (key[1], key[2]), slot)
         _STORED[key] = stored
         _PUBLIC[stored] = key
+        _SLOTS.append(stored)
+        _DEGREES.append(_gen_degree(stored))
+        _GUARD |= 1 << (64 * slot + 63)
     return stored
 
 
@@ -53,6 +67,11 @@ def _gen_degree(stored: tuple) -> int:
 
 def _gen_name(stored: tuple) -> str:
     return "g%d" % stored[1] if stored[0] == 0 else stored[2]
+
+
+def _power(stored: tuple, exp: int) -> int:
+    """The packed monomial stored^exp."""
+    return exp << 64 * stored[3]
 
 
 def base_key_degree(base: str) -> int:
@@ -108,8 +127,9 @@ class Sparse:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __hash__(self):
@@ -142,8 +162,8 @@ class Sparse:
 class CoeffElement(Sparse):
     """Sparse polynomial: monomial -> nonzero int.
 
-    A monomial is a sorted tuple of (stored generator key, exponent >= 1)
-    pairs.
+    A monomial is one packed int (layout above ``_STORED``); the
+    constant term's monomial is 0.
     """
 
     __slots__ = ()
@@ -155,15 +175,15 @@ class CoeffElement(Sparse):
 
     @staticmethod
     def integer(n: int) -> "CoeffElement":
-        return CoeffElement({(): n}) if n else CoeffElement()
+        return CoeffElement({0: n}) if n else CoeffElement()
 
     @staticmethod
     def one() -> "CoeffElement":
-        return CoeffElement({(): 1})
+        return CoeffElement({0: 1})
 
     @staticmethod
     def gen(key: GenKey) -> "CoeffElement":
-        return CoeffElement({((_intern(key), 1),): 1})
+        return CoeffElement({_power(_intern(key), 1): 1})
 
     # --- ring operations ----------------------------------------------
     # (the per-layer tracer of the bench harness wraps these operators in
@@ -195,19 +215,23 @@ class CoeffElement(Sparse):
             return self._times_int(other)
         other = coerce(other)
         a, b = self.terms, other.terms
-        if len(b) == 1 and () in b:
-            return self._times_int(b[()])
-        if len(a) == 1 and () in a:
-            return other._times_int(a[()])
+        if len(b) == 1 and 0 in b:
+            return self._times_int(b[0])
+        if len(a) == 1 and 0 in a:
+            return other._times_int(a[0])
         out: dict = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                mono = _mono_mul(m1, m2)
+                mono = m1 + m2
                 s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
+        # operand exponents are below 2^63, so no slot sum carries into the
+        # next slot, and one past 2^63 - 1 sets its slot's guard bit
+        if reduce(or_, out, 0) & _GUARD:
+            raise ValueError("exponent of a coefficient product is too large")
         return CoeffElement(out)
 
     __rmul__ = __mul__
@@ -247,17 +271,17 @@ class CoeffElement(Sparse):
         """The integer value if the element is constant, else None."""
         if not self.terms:
             return 0
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         return None
 
     def aug_symbols(self) -> list:
         """Sorted list of A-symbol keys appearing anywhere."""
-        seen = {key for mono in self.terms for key, _ in mono if key[0]}
-        return [_PUBLIC[key] for key in sorted(seen)]
+        present = _decode(reduce(or_, self.terms, 0))
+        return [_PUBLIC[key] for key, _ in present if key[0]]
 
     def has_aug_symbols(self) -> bool:
-        return any(key[0] for mono in self.terms for key, _ in mono)
+        return any(key[0] for key, _ in _decode(reduce(or_, self.terms, 0)))
 
     def substitute(self, assignments: dict) -> "CoeffElement":
         """Replace A-symbols by elements; keys are generator key tuples.
@@ -280,10 +304,10 @@ class CoeffElement(Sparse):
         out = CoeffElement.zero()
         for mono, c in self.terms.items():
             piece = CoeffElement.integer(c)
-            for key, exp in mono:
+            for key, exp in _decode(mono):
                 value = stored.get(key)
                 if value is None:
-                    piece = piece * CoeffElement({((key, exp),): 1})
+                    piece = piece * CoeffElement({_power(key, exp): 1})
                 else:
                     piece = piece * value ** exp
             out = out + piece
@@ -292,11 +316,13 @@ class CoeffElement(Sparse):
     # --- rendering ------------------------------------------------------
 
     def __str__(self):
+        n = self.as_int()
+        if n is not None:
+            return str(n)
         items = sorted(
-            self.terms.items(),
-            key=lambda kv: (_mono_degree(kv[0]), kv[0]),
+            (_mono_degree(m), _decode(m), c) for m, c in self.terms.items()
         )
-        return signed_join([weighted(c, _mono_str(m)) for m, c in items]) or "0"
+        return signed_join([weighted(c, _mono_str(m)) for _, m, c in items])
 
 
 def coerce(value) -> CoeffElement:
@@ -309,19 +335,28 @@ def coerce(value) -> CoeffElement:
     raise TypeError("cannot coerce %r into the coefficient ring" % (value,))
 
 
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for key, exp in m2:
-        acc[key] = acc.get(key, 0) + exp
-    return tuple(sorted(acc.items()))
+def _decode(mono: int) -> list:
+    """The monomial as a sorted list of (stored key, exponent >= 1)."""
+    out = []
+    for stored in _SLOTS:
+        if not mono:
+            break
+        exp = mono & _EXP_MASK
+        if exp:
+            out.append((stored, exp))
+        mono >>= 64
+    out.sort()
+    return out
 
 
-def _mono_degree(mono) -> int:
-    return sum(_gen_degree(key) * exp for key, exp in mono)
+def _mono_degree(mono: int) -> int:
+    degree = 0
+    for d in _DEGREES:
+        if not mono:
+            break
+        degree += d * (mono & _EXP_MASK)
+        mono >>= 64
+    return degree
 
 
 def _mono_str(mono) -> str:

@@ -294,17 +294,25 @@ def test_flat_powers_are_not_deep(capsys):
         ["lambda", "G_s(e_r^99999999999999999999)"],
         ["cobordant", "pt^99999999999999999999", "pt"],
         ["lambda", "sigma(g1^99999999999999999999)"],
+        ["lambda", "sigma(g1^9223372036854775807*g1)"],
     ],
     ids=lambda argv: argv[1],
 )
 def test_exponent_past_index_range_exits_2(capsys, argv):
-    # every language bounds ^n by sys.maxsize; a larger exponent is bad input
+    # every language bounds ^n by sys.maxsize, and a coefficient product
+    # bounds each exponent it makes alike; a larger exponent is bad input
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "too large" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_largest_coefficient_exponent_prints(capsys):
+    # squaring stops at the top bit of n, so ^sys.maxsize itself is in range
+    code, doc = run_cli(capsys, "lambda", "sigma(g1^9223372036854775807)")
+    assert code == 0 and doc == "g1^9223372036854775807"
 
 
 @pytest.mark.parametrize(
@@ -401,6 +409,21 @@ def test_console_script_and_budget_abort():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == "e_r"
+
+
+def test_power_of_a_sum_answers_promptly():
+    # the last squaring of a square-and-multiply ^16 is wasted, and for a
+    # five-term sum it is most of the work: about 100 s with it; the
+    # digest is of the stdout computed with it
+    out = subprocess.run(
+        [sys.executable, "-m", "sfb.cli", "lambda",
+         "sigma((g1+g2+g3+A(1;P)+A(2;P))^16)"],
+        capture_output=True, timeout=20, env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == (
+        "04d7930cbb9ff0e666539b243e052a4a2a782fecd1d2612d38559e46ac7b5e1e"
+    )
 
 
 @pytest.mark.skipif(

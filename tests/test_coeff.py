@@ -1,7 +1,14 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sfb
 from sfb.coeff import (
     CoeffElement,
     CoeffParseError,
@@ -9,6 +16,8 @@ from sfb.coeff import (
     aug_symbol_key,
     cp,
     parse_coeff,
+    signed_join,
+    weighted,
 )
 from sfb.engine import UNIT, NormalForm
 from sfb.manifold import m_pc
@@ -202,6 +211,217 @@ def test_public_keys_survive_interning():
     out = x.substitute({("A", 2, "P", 6): cp(3), aug_symbol_key(1, "Z(3,s)"): 0})
     assert str(out) == "-5 + g3*A(1;P) + A(1;Z(2,r))*A(1;Z(2,s)) - 2*g2*g3^2"
     assert parse_coeff(str(out)) == out
+
+
+# Interns the generators of PINNED_TEXT in reverse order, g9 first, then
+# checks the pinned texts: a monomial's slots follow first-seen order,
+# its text must not.
+REVERSED_INTERNING = """
+import sys
+import sfb.coeff
+from sfb.coeff import aug_symbol, cp
+for n in range(9, 0, -1):
+    cp(n)
+for j, base in ((3, "P"), (1, "Z(3,s)"), (2, "Z(2,s)"), (2, "P"),
+                (1, "Z(2,s)"), (1, "Z(2,r)"), (1, "P")):
+    aug_symbol(j, base)
+assert sfb.coeff._SLOTS[0][:2] == (0, 9)
+sys.path.insert(0, sys.argv[1])
+from test_coeff import PINNED_TEXT
+for build, text in PINNED_TEXT:
+    assert str(build()) == text, (str(build()), text)
+print("pinned")
+"""
+
+
+def test_pinned_text_survives_reversed_interning():
+    here = Path(__file__).resolve().parent
+    out = subprocess.run(
+        [sys.executable, "-c", REVERSED_INTERNING, str(here)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(sfb.__file__).resolve().parents[1])),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "pinned\n"
+
+
+# --- the tuple-monomial ring, an independent oracle ----------------------
+# A monomial is a sorted tuple of (sort key, exponent >= 1) pairs, the
+# sort key (0, n, "") for g_n and (1, deg, "A(j;base)") for A(j;base),
+# and an element is a dict monomial -> nonzero int: no packing, no slots.
+
+
+def _ref_key(key):
+    if key[0] == "g":
+        return (0, key[1], "")
+    return (1, key[3], "A(%d;%s)" % (key[1], key[2]))
+
+
+def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    acc = dict(m1)
+    for key, exp in m2:
+        acc[key] = acc.get(key, 0) + exp
+    return tuple(sorted(acc.items()))
+
+
+def _mono_degree(mono):
+    return sum((2 * key[1] if key[0] == 0 else key[1]) * exp for key, exp in mono)
+
+
+def _mono_str(mono):
+    factors = []
+    for key, exp in mono:
+        name = "g%d" % key[1] if key[0] == 0 else key[2]
+        factors.append(name if exp == 1 else "%s^%d" % (name, exp))
+    return "*".join(factors)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _mono_mul(m1, m2)
+            s = out.get(mono, 0) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_pow(a, n):
+    out = {(): 1}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, assignments):
+    stored = {_ref_key(key): value for key, value in assignments.items()}
+    out = {}
+    for mono, c in a.items():
+        piece = {(): c}
+        for key, exp in mono:
+            value = stored.get(key)
+            if value is None:
+                piece = ref_mul(piece, {((key, exp),): 1})
+            else:
+                piece = ref_mul(piece, ref_pow(value, exp))
+        out = ref_add(out, piece)
+    return out
+
+
+def ref_str(a):
+    items = sorted(a.items(), key=lambda kv: (_mono_degree(kv[0]), kv[0]))
+    return signed_join([weighted(c, _mono_str(m)) for m, c in items]) or "0"
+
+
+def ref_as_int(a):
+    if not a:
+        return 0
+    if len(a) == 1 and () in a:
+        return a[()]
+    return None
+
+
+ORACLE_KEYS = [("g", n) for n in range(1, 7)] + [
+    aug_symbol_key(j, base)
+    for j in (1, 2, 3)
+    for base in ("P", "Z(1,r)", "Z(2,s)", "Z(3,r)")
+]
+
+
+def _key_degree(key):
+    return 2 * key[1] if key[0] == "g" else key[3]
+
+
+def _random_element(rng, keys, degree=None):
+    """(packed, reference) pair of one random element over keys; with a
+    degree, every term is of that degree."""
+    packed, ref = CoeffElement.zero(), {}
+    for _ in range(rng.randint(0, 4)):
+        c = rng.randint(-3, 3)
+        if degree is None:
+            exps = {k: rng.randint(1, 3) for k in rng.sample(keys, rng.randint(0, 3))}
+        else:
+            exps, room = {}, degree
+            while room:
+                k = rng.choice([k for k in keys if _key_degree(k) <= room])
+                exps[k] = exps.get(k, 0) + 1
+                room -= _key_degree(k)
+        term = CoeffElement.integer(c)
+        for k, e in exps.items():
+            term = term * CoeffElement.gen(k) ** e
+        packed = packed + term
+        mono = tuple(sorted((_ref_key(k), e) for k, e in exps.items()))
+        ref = ref_add(ref, {mono: c} if c else {})
+    return packed, ref
+
+
+def _agrees(packed, ref):
+    """packed and ref are one element: same text, and rebuilt equal."""
+    rebuilt = CoeffElement.zero()
+    public = {_ref_key(k): k for k in ORACLE_KEYS}
+    for mono, c in ref.items():
+        term = CoeffElement.integer(c)
+        for key, e in mono:
+            term = term * CoeffElement.gen(public[key]) ** e
+        rebuilt = rebuilt + term
+    return str(packed) == ref_str(ref) and packed == rebuilt
+
+
+def test_packed_ring_matches_tuple_oracle():
+    rng = random.Random(12)
+    public = {_ref_key(k): k for k in ORACLE_KEYS}
+    for _ in range(120):
+        (x, rx), (y, ry) = (_random_element(rng, ORACLE_KEYS) for _ in range(2))
+        assert _agrees(x, rx)
+        assert _agrees(x * y, ref_mul(rx, ry))
+        assert _agrees(x + y, ref_add(rx, ry))
+        assert _agrees(x - y, ref_add(rx, ref_neg(ry)))
+        assert _agrees(-x, ref_neg(rx))
+        n = rng.randint(0, 5)
+        assert _agrees(x ** n, ref_pow(rx, n))
+        assert x.degrees() == {_mono_degree(m) for m in rx}
+        for d in {0, 2, 4, 6} | x.degrees():
+            assert _agrees(
+                x.homogeneous_component(d),
+                {m: c for m, c in rx.items() if _mono_degree(m) == d},
+            )
+        seen = {key for mono in rx for key, _ in mono if key[0]}
+        assert x.aug_symbols() == [public[key] for key in sorted(seen)]
+        assert x.has_aug_symbols() == bool(seen)
+        assert x.as_int() == ref_as_int(rx)
+        assert (x == y) == (rx == ry)
+        for k in (-1, 0, 1, 2):
+            assert (x == k) == (ref_as_int(rx) == k)
+        if ref_as_int(rx) is not None:
+            assert hash(x) == hash(ref_as_int(rx))
+        symbols = [k for k in rng.sample(ORACLE_KEYS, 4) if k[0] == "A"]
+        values = [_random_element(rng, ORACLE_KEYS[:6], k[3]) for k in symbols]
+        assert _agrees(
+            x.substitute({k: v for k, (v, _) in zip(symbols, values)}),
+            ref_substitute(rx, {k: rv for k, (_, rv) in zip(symbols, values)}),
+        )
 
 
 def _raised(call):
