@@ -73,15 +73,10 @@ class AugEnv:
         if tag == "gamma":
             if t[1] == "s":
                 return self.aug_power(j + 1, t[2])
-            acc = -self.aug_power(j + 1, t[2])
-            for k in range(j):
-                acc = acc + p_coeff(k) * self.aug_power(j - k, t[2])
-            return acc
+            tail = (p_coeff(k) * self.aug_power(j - k, t[2]) for k in range(j))
+            return sum(tail, -self.aug_power(j + 1, t[2]))
         if tag == "sum":
-            acc = ZERO
-            for s in t[1]:
-                acc = acc + self.aug_power(j, s)
-            return acc
+            return sum((self.aug_power(j, s) for s in t[1]), ZERO)
         if tag == "prod":
             if not t[1]:
                 return ONE if j == 0 else ZERO
@@ -90,13 +85,10 @@ class AugEnv:
             # canonicalizes a one-factor product to its factor)
             h = len(t[1]) // 2
             w, z = ("prod", t[1][:h]), ("prod", t[1][h:])
-            acc = ZERO
-            for k in range(j + 1):
-                left = self.aug_power(k, w)
-                if left.is_zero():
-                    continue
-                acc = acc + left * self.aug_power(j - k, z)
-            return acc
+            # a zero left factor skips its right factor's tower
+            terms = (left * self.aug_power(j - k, z)
+                     for k in range(j + 1) if (left := self.aug_power(k, w)))
+            return sum(terms, ZERO)
         raise ValueError("unknown term tag %r" % (tag,))
 
     def _aug_euler_tower(self, j: int, flavor: str) -> CoeffElement:
@@ -110,10 +102,8 @@ class AugEnv:
         e_r = ("euler", "r")
         for n in range(1, j + 1):
             if (n, e_r) not in memo:
-                acc = -ONE if n == 1 else ZERO
-                for k in range(n - 1):
-                    acc = acc + p_coeff(k) * memo[(n - 1 - k, e_r)]
-                memo[(n, e_r)] = acc
+                terms = (p_coeff(k) * memo[(n - 1 - k, e_r)] for k in range(n - 1))
+                memo[(n, e_r)] = sum(terms, -ONE if n == 1 else ZERO)
         return memo[(j, e_r)]
 
 

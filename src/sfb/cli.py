@@ -29,6 +29,7 @@ from .engine import (
     bm_json,
     certify_basis,
     enumerate_basis,
+    is_geometric,
     lambda_term,
     verify_relations,
 )
@@ -95,9 +96,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_geometric(args) -> int:
-    engine = GammaEngine(z_convention=args.z_convention)
     term = parse_term(args.expr)
-    verdict, detail = engine.is_geometric(term)
+    verdict, detail = is_geometric(term, args.z_convention)
     doc = {"geometric": verdict}
     if verdict is False:
         doc["certificate"] = detail

@@ -301,17 +301,17 @@ class CoeffElement(Sparse):
                     % (aug_symbol_name(key), key[3], vdeg)
                 )
             stored[_intern(key)] = value
-        out = CoeffElement.zero()
-        for mono, c in self.terms.items():
-            piece = CoeffElement.integer(c)
-            for key, exp in _decode(mono):
-                value = stored.get(key)
-                if value is None:
-                    piece = piece * CoeffElement({_power(key, exp): 1})
-                else:
-                    piece = piece * value ** exp
-            out = out + piece
-        return out
+
+        def factor(key, exp):
+            if key in stored:
+                return stored[key] ** exp
+            return CoeffElement({_power(key, exp): 1})
+
+        return sum(
+            (reduce(mul, (factor(*f) for f in _decode(m)), CoeffElement.integer(c))
+             for m, c in self.terms.items()),
+            ZERO,
+        )
 
     # --- rendering ------------------------------------------------------
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from functools import reduce
+from math import prod
 
 from .coeff import FLAVORS, CoeffElement, ONE, ZERO, aug_symbol_name, coerce, cp
 from .phi import (
@@ -202,16 +204,10 @@ class NormalForm(Combination):
     def lambda_image(self, convention: str = "same") -> PhiElement:
         """Sum of c * lambda(bm), over images built once per call."""
         image = bm_images(convention)
-        acc = PhiElement()
-        for bm, c in self.terms.items():
-            acc.add_scaled(image(bm), c)
-        return acc
+        return PhiElement.total((image(bm), c) for bm, c in self.terms.items())
 
     def aug(self) -> CoeffElement:
-        acc = ZERO
-        for bm, c in self.terms.items():
-            acc = acc + c * AUG.aug(bm_term(bm))
-        return acc
+        return sum((c * AUG.aug(bm_term(bm)) for bm, c in self.terms.items()), ZERO)
 
 
 # --- localized evaluation ---------------------------------------------------
@@ -231,15 +227,9 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
     if tag == "bar":
         return PhiElement.const(AUG.aug(t[1]))
     if tag == "sum":
-        acc = PhiElement()
-        for s in t[1]:
-            acc.add_scaled(lambda_term(s, convention), ONE)
-        return acc
+        return PhiElement.total((lambda_term(s, convention), ONE) for s in t[1])
     if tag == "prod":
-        acc = PhiElement.one()
-        for s in t[1]:
-            acc = acc * lambda_term(s, convention)
-        return acc
+        return prod((lambda_term(s, convention) for s in t[1]), start=PhiElement.one())
     raise ValueError("unknown term tag %r" % (tag,))
 
 
@@ -247,6 +237,24 @@ def _lambda_gamma(flavor: str, inner: PhiElement, inner_term: tuple) -> PhiEleme
     """lambda(G_V y) = e_V^-1 (lambda(y) - bar y), given lambda(y)."""
     scalar = PhiElement.const(AUG.aug(inner_term))
     return PhiElement.euler(flavor, -1) * (inner - scalar)
+
+
+def is_geometric(term: tuple, convention: str = "same"):
+    """(True|False|"unknown", certificate-or-None).
+
+    True iff the localized image has no positive Euler powers.  A
+    definite False needs a symbol-free nonzero obstruction; if every
+    obstruction involves A-symbols the answer depends on their
+    values and is reported as unknown.
+    """
+    outside = lambda_term(term, convention).project_C()
+    if outside.is_zero():
+        return True, None
+    found = outside.first_symbol_free_part()
+    if found is not None:
+        return False, dict(mono_json(found[0]), coeff=str(found[1]))
+    return "unknown", {"pending": sorted(
+        aug_symbol_texts(outside)), "projection": str(outside)}
 
 
 def _outer(word: tuple) -> tuple:
@@ -310,7 +318,12 @@ def bm_images(convention: str = "same", present=None):
 class GammaEngine:
     def __init__(self, step_budget=None, z_convention: str = "same"):
         if step_budget is None:
-            step_budget = int(os.environ.get("SFB_STEP_BUDGET", DEFAULT_STEP_BUDGET))
+            budget = os.environ.get("SFB_STEP_BUDGET", DEFAULT_STEP_BUDGET)
+            try:
+                step_budget = int(budget)
+            except ValueError:
+                raise ValueError(
+                    "SFB_STEP_BUDGET %r is not an integer" % budget) from None
         self.step_budget = step_budget
         self.z_convention = z_convention
         self._gamma_memo = {}
@@ -332,24 +345,6 @@ class GammaEngine:
                 )
         return nf
 
-    def is_geometric(self, term: tuple):
-        """(True|False|"unknown", certificate-or-None).
-
-        True iff the localized image has no positive Euler powers.  A
-        definite False needs a symbol-free nonzero obstruction; if every
-        obstruction involves A-symbols the answer depends on their
-        values and is reported as unknown.
-        """
-        lam = lambda_term(term, self.z_convention)
-        outside = lam.project_C()
-        if outside.is_zero():
-            return True, None
-        found = outside.first_symbol_free_part()
-        if found is not None:
-            return False, dict(mono_json(found[0]), coeff=str(found[1]))
-        return "unknown", {"pending": sorted(
-            aug_symbol_texts(outside)), "projection": str(outside)}
-
     # -- AST evaluation ----------------------------------------------------
 
     def _eval(self, t: tuple) -> NormalForm:
@@ -365,31 +360,24 @@ class GammaEngine:
         if tag == "bar":
             return NormalForm.unit(AUG.aug(t[1]))
         if tag == "sum":
-            acc = NormalForm()
-            for s in t[1]:
-                acc.add_scaled(self._eval(s), ONE)
-            return acc
+            return NormalForm.total((self._eval(s), ONE) for s in t[1])
         if tag == "prod":
-            acc = NormalForm.unit()
-            for s in t[1]:
-                acc = self.nf_product(acc, self._eval(s))
-            return acc
+            return reduce(self.nf_product, map(self._eval, t[1]), NormalForm.unit())
         raise ValueError("unknown term tag %r" % (tag,))
 
     # -- bilinear layers ----------------------------------------------------
 
     def nf_gamma_elem(self, flavor: str, nf: NormalForm) -> NormalForm:
-        acc = NormalForm()
-        for bm, c in nf.terms.items():
-            acc.add_scaled(self.nf_gamma(flavor, bm), c)
-        return acc
+        return NormalForm.total(
+            (self.nf_gamma(flavor, bm), c) for bm, c in nf.terms.items()
+        )
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        acc = NormalForm()
-        for bm1, c1 in a.terms.items():
-            for bm2, c2 in b.terms.items():
-                acc.add_scaled(self.nf_mul(bm1, bm2), c1 * c2)
-        return acc
+        return NormalForm.total(
+            (self.nf_mul(bm1, bm2), c1 * c2)
+            for bm1, c1 in a.terms.items()
+            for bm2, c2 in b.terms.items()
+        )
 
     def _tick(self):
         self._steps += 1
@@ -430,9 +418,15 @@ class GammaEngine:
             if not a.is_zero():
                 out = out + self.nf_gamma(flavor, y).scale(a)
             return out
-        if not word:
-            return self._gamma_atom(flavor, x)
         if flavor == "r":
+            if not word and x[0] == "zgen":
+                # r-flavor on a Z-generator: route through the sphere class,
+                # G_r(y) = P*(y - bar y) - G_s(y)
+                return (
+                    NormalForm.of((1, 1, E_R, (x,)))
+                    + NormalForm.of(P_BM, -AUG.aug(x))
+                    + NormalForm.of((0, 1, x, ()), -ONE)
+                )
             return NormalForm.of((i + 1, j, x, ()))
         if i == 0:
             return NormalForm.of((0, j + 1, x, ()))
@@ -443,26 +437,6 @@ class GammaEngine:
         if not c.is_zero():
             out = out + NormalForm.of(P_BM, c)
         return out
-
-    def _gamma_atom(self, flavor: str, atom: tuple) -> NormalForm:
-        if atom == t_euler(flavor):
-            return NormalForm.unit()
-        if flavor == "r" and atom == E_S:
-            return NormalForm.of((1, 0, E_S, ()))
-        if flavor == "s" and atom == E_R:
-            return NormalForm.of((0, 1, E_R, ()))
-        if atom[0] != "zgen":
-            raise ValueError("operator applied to unknown atom %r" % (atom,))
-        if flavor == "s":
-            return NormalForm.of((0, 1, atom, ()))
-        # r-flavor on a Z-generator: route through the sphere class,
-        # G_r(y) = P*(y - bar y) - G_s(y)
-        g = AUG.aug(atom)
-        return (
-            NormalForm.of((1, 1, E_R, (atom,)))
-            + NormalForm.of(P_BM, -g)
-            + NormalForm.of((0, 1, atom, ()), -ONE)
-        )
 
     # -- products of monomials --------------------------------------------
 
@@ -499,10 +473,9 @@ class GammaEngine:
 
     def _fold_atoms(self, nf: NormalForm, atoms: tuple) -> NormalForm:
         for a in atoms:
-            acc = NormalForm()
-            for bm, c in nf.terms.items():
-                acc.add_scaled(self._mul_bm_atom(bm, a), c)
-            nf = acc
+            nf = NormalForm.total(
+                (self._mul_bm_atom(bm, a), c) for bm, c in nf.terms.items()
+            )
         return nf
 
     def _mul_bm_atom(self, bm: tuple, atom: tuple) -> NormalForm:
@@ -667,14 +640,9 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
     return [bm for _, bm in out]
 
 
-def _leading(image, order: str):
-    """(tagged leading monomial, coefficient) of a certify image, or None."""
-    if order == "z_maxnorm":
-        tag, key = "z", z_maxnorm_key
-    elif order == "neg_lex":
-        tag, key = "x", neg_lex_key
-    else:
-        raise ValueError("unknown monomial order %r" % (order,))
+def _leading(image, tag: str, key):
+    """(tagged leading monomial, coefficient) of a certify image under the
+    monomial order `key`, or None."""
     lead = leading_term(image, key)
     if lead is None:
         return None
@@ -692,8 +660,14 @@ def certify_basis(
     """Leading-term triangularity (and, for the quotient-side variants,
     per-degree count) report.  Failures are entries, not exceptions."""
     candidates = enumerate_basis(degree_bound, variant, truncation)
-    # the image in the presentation `order` reads: Z for z_maxnorm, X for neg_lex
-    image = bm_images(convention, to_z_basis if order == "z_maxnorm" else None)
+    # each order reads the image in its own presentation: Z or X
+    if order == "z_maxnorm":
+        tag, key, present = "z", z_maxnorm_key, to_z_basis
+    elif order == "neg_lex":
+        tag, key, present = "x", neg_lex_key, None
+    else:
+        raise ValueError("unknown monomial order %r" % (order,))
+    image = bm_images(convention, present)
     if inject_duplicate and len(candidates) > 1:
         candidates = candidates + [candidates[-1]]
     count_checked = variant.startswith("omega")
@@ -705,7 +679,7 @@ def certify_basis(
         leads = {}
         unit_leads = True
         for bm in entries:
-            led = _leading(image(bm), order)
+            led = _leading(image(bm), tag, key)
             if led is None:
                 failures.append({"kind": "zero-image", "monomial": bm_json(bm, ONE)})
                 continue

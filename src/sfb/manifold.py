@@ -108,15 +108,12 @@ def lambda_manifold(m: tuple, convention: str = "same") -> PhiElement:
     if tag == "pt":
         return PhiElement.one()
     if tag == "union":
-        acc = PhiElement()
-        for w, sub in m[1]:
-            acc.add_scaled(lambda_manifold(sub, convention), w)
-        return acc
+        return PhiElement.total(
+            (lambda_manifold(sub, convention), w) for w, sub in m[1]
+        )
     if tag == "prod":
-        acc = PhiElement.one()
-        for sub in m[1]:
-            acc = acc * lambda_manifold(sub, convention)
-        return acc
+        factors = (lambda_manifold(sub, convention) for sub in m[1])
+        return prod(factors, start=PhiElement.one())
     if tag in ("gamma", "gammastar"):
         flavor = "r" if tag == "gamma" else "s"
         inner = lambda_manifold(m[1], convention)
@@ -310,10 +307,9 @@ def realize_iterative(data: dict) -> dict:
 
 def decomposition_lambda(decomposition: list) -> PhiElement:
     sphere = z_gen(1, "r")
-    acc = PhiElement()
-    for entry in decomposition:
-        acc.add_scaled(sphere ** entry["power"], entry["multiplicity"])
-    return acc
+    return PhiElement.total(
+        (sphere ** entry["power"], entry["multiplicity"]) for entry in decomposition
+    )
 
 
 # --- cobordance ---------------------------------------------------------

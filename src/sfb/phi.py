@@ -21,6 +21,7 @@ presentations share with the engine's normal forms.
 from __future__ import annotations
 
 import warnings
+from math import prod
 
 from .coeff import CoeffElement, ONE, Sparse, check_flavor, coerce, signed_join, weighted
 
@@ -63,9 +64,10 @@ class Combination(Sparse):
     """Sparse map key -> nonzero CoeffElement, the algebra shared by the
     localized images and the normal forms.
 
-    Subclasses name their key degree in ``_key_degree``.  Only
-    ``add_scaled`` changes an instance in place, for accumulators still
-    being built.
+    Subclasses name their key degree in ``_key_degree``.  ``total`` is
+    the one builder of a linear combination: it accumulates in place
+    through ``add_scaled``, the only method that changes an instance.
+    Every other operation returns a new one.
     """
 
     __slots__ = ()
@@ -89,6 +91,14 @@ class Combination(Sparse):
                 acc[k] = v
             else:
                 acc.pop(k, None)
+
+    @classmethod
+    def total(cls, pairs):
+        """The sum of c * x over the (x, c) pairs, accumulated in place."""
+        out = cls()
+        for x, c in pairs:
+            out.add_scaled(x, c)
+        return out
 
     def __add__(self, other):
         out = type(self)(self.terms)
@@ -303,26 +313,23 @@ class ZElement(Combination):
 
 def to_z_basis(p: PhiElement) -> ZElement:
     """Rewrite X(n,V) as Z(n+1,V) - e_V^-(n+1); Euler classes unchanged."""
-    out = ZElement()
-    for (a, b, xs), c in p.terms.items():
-        piece = ZElement({(a, b, ()): ONE})
-        for n, flavor in xs:
-            pole = euler_mono(flavor, -(n + 1))
-            piece = piece * ZElement({(0, 0, ((n + 1, flavor),)): ONE, pole: -ONE})
-        out.add_scaled(piece, c)
-    return out
+    def x_image(n, flavor):
+        pole = euler_mono(flavor, -(n + 1))
+        return ZElement({(0, 0, ((n + 1, flavor),)): ONE, pole: -ONE})
+
+    return ZElement.total(
+        (prod((x_image(n, fl) for n, fl in xs), start=ZElement({(a, b, ()): ONE})), c)
+        for (a, b, xs), c in p.terms.items()
+    )
 
 
 def from_z_basis(z: ZElement) -> PhiElement:
     """Rewrite Z(n,V) as X(n-1,V) + e_V^-n, which is z_gen(n, V); inverse
     of to_z_basis."""
-    out = PhiElement()
-    for (a, b, zs), c in z.terms.items():
-        piece = PhiElement({(a, b, ()): ONE})
-        for n, flavor in zs:
-            piece = piece * z_gen(n, flavor)
-        out.add_scaled(piece, c)
-    return out
+    return PhiElement.total(
+        (prod((z_gen(n, fl) for n, fl in zs), start=PhiElement({(a, b, ()): ONE})), c)
+        for (a, b, zs), c in z.terms.items()
+    )
 
 
 # --- monomial orders for leading-term certification -------------------------

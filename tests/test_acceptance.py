@@ -11,6 +11,7 @@ from sfb.engine import (
     bm_degree,
     certify_basis,
     enumerate_basis,
+    is_geometric,
     lambda_term,
     random_term,
     two_colored_partitions,
@@ -215,14 +216,14 @@ def test_basis_counts_and_triangularity():
 #    obstructed, linear classes and accepted decompositions are clean
 def test_geometric_membership_verdicts():
     for t in (t_euler("r"), t_euler("s"), t_gamma("s", t_euler("r"))):
-        verdict, cert = ENGINE.is_geometric(t)
+        verdict, cert = is_geometric(t)
         assert verdict is False
         assert cert is not None
     for n in range(1, 7):
         for fl in "rs":
-            verdict, cert = ENGINE.is_geometric(t_zgen(n, fl))
+            verdict, cert = is_geometric(t_zgen(n, fl))
             assert verdict is True
-    assert ENGINE.is_geometric(P_TERM)[0] is True
+    assert is_geometric(P_TERM)[0] is True
     datasets = [
         {(0, 0): 3},
         binomial_row(4),
@@ -238,7 +239,7 @@ def test_geometric_membership_verdicts():
                 for e in out["decomposition"]
             ]
         )
-        assert ENGINE.is_geometric(realized)[0] is True
+        assert is_geometric(realized)[0] is True
 
 
 # 8. everything is concentrated in even degrees, and each divided

@@ -238,6 +238,31 @@ def test_pinned_verify_reports(capsys, convention, samples, seed, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_geometric_ignores_step_budget(capsys, monkeypatch):
+    # geometric never rewrites, so the rewrite budget is not read
+    expected = run_cli(capsys, "geometric", "e_r")
+    monkeypatch.setenv("SFB_STEP_BUDGET", "abc")
+    assert run_cli(capsys, "geometric", "e_r") == expected
+    assert expected[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "e_r"],
+        ["subst", '{"A(1;P)": "g2"}', "e_r", "--on", "normalize"],
+    ],
+    ids=["normalize", "subst-on-normalize"],
+)
+def test_malformed_step_budget_is_named(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SFB_STEP_BUDGET", "abc")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "SFB_STEP_BUDGET" in captured.err
+
+
 def test_subst_on_lambda(capsys):
     code, doc = run_cli(
         capsys, "subst", '{"A(1;P)": "2*g1^2"}',
