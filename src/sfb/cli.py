@@ -2,9 +2,10 @@
 
 stdout carries data (JSON), stderr carries diagnostics.  Exit codes:
 0 success / true / realizable; 1 false / rejected / undecided;
-2 parse or validation error, or input nested too deeply; 3 internal
-consistency failure (the localized-image cross-check or the rewrite
-step budget) or any other unexpected exception."""
+2 parse or validation error (a malformed SFB_STEP_BUDGET too), or input
+nested too deeply; 3 internal consistency failure (the localized-image
+cross-check or the rewrite step budget) or any other unexpected
+exception."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .coeff import (
     parse_coeff_atom,
 )
 from .engine import (
+    DEFAULT_STEP_BUDGET,
     GammaEngine,
     LambdaMismatch,
     StepBudgetExceeded,
@@ -50,11 +52,15 @@ def _emit(doc) -> None:
 
 
 def _load_json_arg(arg: str):
-    text = arg
-    if not arg.lstrip().startswith("{") and os.path.exists(arg):
+    if arg.lstrip().startswith("{") or not os.path.exists(arg):
+        source, text = "%r is neither an existing file nor JSON" % arg, arg
+    else:
         with open(arg) as fh:
-            text = fh.read()
-    return json.loads(text)
+            source, text = "file %r is not JSON" % arg, fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s: %s" % (source, exc)) from None
 
 
 def _parse_aug_key(name: str):
@@ -77,21 +83,24 @@ def _parse_assignments(doc: dict) -> dict:
 def cmd_lambda(args) -> int:
     term = parse_term(args.expr)
     lam = lambda_term(term, args.z_convention)
-    if args.json:
-        _emit(lam.to_json())
-    else:
-        _emit(str(lam))
+    _emit(lam.to_json() if args.json else str(lam))
     return 0
 
 
+def _engine(args) -> GammaEngine:
+    """The rewriter, under the step budget that ``SFB_STEP_BUDGET`` sets."""
+    text = os.environ.get("SFB_STEP_BUDGET", str(DEFAULT_STEP_BUDGET))
+    try:
+        return GammaEngine(count(text), args.z_convention)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError("SFB_STEP_BUDGET must be an integer >= 0, got %r" % text) from None
+
+
 def cmd_normalize(args) -> int:
-    engine = GammaEngine(z_convention=args.z_convention)
+    engine = _engine(args)
     term = parse_term(args.expr)
     nf = engine.normalize(term, check_lambda=not args.no_check_lambda)
-    if args.json:
-        _emit(nf.to_json())
-    else:
-        _emit(nf.text())
+    _emit(nf.to_json() if args.json else nf.text())
     return 0
 
 
@@ -173,8 +182,7 @@ def cmd_subst(args) -> int:
         lam = lambda_term(term, args.z_convention).substitute(assignments)
         _emit(str(lam))
         return 0
-    engine = GammaEngine(z_convention=args.z_convention)
-    nf = engine.normalize(term)
+    nf = _engine(args).normalize(term)
     _emit(nf.substitute(assignments).text())
     return 0
 

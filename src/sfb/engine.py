@@ -27,7 +27,6 @@ available, see ``enumerate_basis``).
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from functools import reduce
 from math import prod
@@ -316,14 +315,11 @@ def bm_images(convention: str = "same", present=None):
 
 
 class GammaEngine:
-    def __init__(self, step_budget=None, z_convention: str = "same"):
-        if step_budget is None:
-            budget = os.environ.get("SFB_STEP_BUDGET", DEFAULT_STEP_BUDGET)
-            try:
-                step_budget = int(budget)
-            except ValueError:
-                raise ValueError(
-                    "SFB_STEP_BUDGET %r is not an integer" % budget) from None
+    """Rewriter of terms to normal forms.  ``step_budget`` bounds the memo
+    misses of ``nf_gamma`` and ``nf_mul`` in each ``normalize`` call; the
+    memos persist across calls, so a later call pays only for new keys."""
+
+    def __init__(self, step_budget: int = DEFAULT_STEP_BUDGET, z_convention: str = "same"):
         self.step_budget = step_budget
         self.z_convention = z_convention
         self._gamma_memo = {}
@@ -333,6 +329,8 @@ class GammaEngine:
     # -- public entry points ---------------------------------------------
 
     def normalize(self, term: tuple, check_lambda: bool = True) -> NormalForm:
+        """The normal form of ``term``; ``StepBudgetExceeded`` once this call
+        has more than ``step_budget`` memo misses."""
         self._steps = 0
         nf = self._eval(term)
         if check_lambda:
@@ -379,24 +377,22 @@ class GammaEngine:
             for bm2, c2 in b.terms.items()
         )
 
-    def _tick(self):
-        self._steps += 1
-        if self._steps > self.step_budget:
-            raise StepBudgetExceeded(
-                "rewrite step budget (%d) exhausted" % self.step_budget
-            )
+    def _memoized(self, memo: dict, key: tuple, rewrite) -> NormalForm:
+        """``rewrite(*key)`` through ``memo``; each miss is one rewrite step."""
+        hit = memo.get(key)
+        if hit is None:
+            self._steps += 1
+            if self._steps > self.step_budget:
+                raise StepBudgetExceeded(
+                    "rewrite step budget (%d) exhausted" % self.step_budget
+                )
+            hit = memo[key] = rewrite(*key)
+        return hit
 
     # -- operator application on one monomial ------------------------------
 
     def nf_gamma(self, flavor: str, bm: tuple) -> NormalForm:
-        key = (flavor, bm)
-        hit = self._gamma_memo.get(key)
-        if hit is not None:
-            return hit
-        self._tick()
-        value = self._nf_gamma(flavor, bm)
-        self._gamma_memo[key] = value
-        return value
+        return self._memoized(self._gamma_memo, (flavor, bm), self._nf_gamma)
 
     def _nf_gamma(self, flavor: str, bm: tuple) -> NormalForm:
         i, j, x, m = bm
@@ -445,15 +441,7 @@ class GammaEngine:
             return NormalForm.of(bm2)
         if bm2 == UNIT:
             return NormalForm.of(bm1)
-        a, b = sorted((bm1, bm2))
-        key = (a, b)
-        hit = self._mul_memo.get(key)
-        if hit is not None:
-            return hit
-        self._tick()
-        value = self._nf_mul(a, b)
-        self._mul_memo[key] = value
-        return value
+        return self._memoized(self._mul_memo, tuple(sorted((bm1, bm2))), self._nf_mul)
 
     def _nf_mul(self, bm1: tuple, bm2: tuple) -> NormalForm:
         i1, j1, x1, m1 = bm1

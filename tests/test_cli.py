@@ -246,6 +246,7 @@ def test_geometric_ignores_step_budget(capsys, monkeypatch):
     assert expected[0] == 1
 
 
+@pytest.mark.parametrize("budget", ["abc", "1.5", "-5"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -254,13 +255,20 @@ def test_geometric_ignores_step_budget(capsys, monkeypatch):
     ],
     ids=["normalize", "subst-on-normalize"],
 )
-def test_malformed_step_budget_is_named(capsys, monkeypatch, argv):
-    monkeypatch.setenv("SFB_STEP_BUDGET", "abc")
+def test_malformed_step_budget_is_named(capsys, monkeypatch, argv, budget):
+    monkeypatch.setenv("SFB_STEP_BUDGET", budget)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "SFB_STEP_BUDGET" in captured.err
+
+
+def test_zero_step_budget_admits_no_rewrite(capsys, monkeypatch):
+    monkeypatch.setenv("SFB_STEP_BUDGET", "0")
+    assert run_cli(capsys, "normalize", "3") == (0, "3")
+    assert main(["normalize", "G_r(e_s)"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_subst_on_lambda(capsys):
@@ -302,6 +310,19 @@ def test_parse_errors_exit_2(capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert "Traceback" not in captured.err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["realize", "/nonexistent"], ["subst", "/nonexistent", "e_r"]],
+    ids=["realize", "subst"],
+)
+def test_missing_json_file_is_named(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'/nonexistent' is neither an existing file nor JSON" in captured.err
 
 
 def test_flat_powers_are_not_deep(capsys):

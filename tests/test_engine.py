@@ -151,6 +151,14 @@ def test_step_budget():
         eng.normalize(deep)
 
 
+def test_engine_ignores_step_budget_variable(monkeypatch):
+    # only the sfb executable reads SFB_STEP_BUDGET; the library takes an argument
+    monkeypatch.setenv("SFB_STEP_BUDGET", "1")
+    eng = GammaEngine()
+    eng.normalize(parse_term("G_r(G_s(e_r))^4"))
+    assert eng._steps == 44
+
+
 # rewrite steps, the unit of SFB_STEP_BUDGET: memo misses of nf_gamma and
 # nf_mul, each input on a fresh engine.  A refactor that moves a memo
 # boundary moves these counts, and with them what a budget admits.
