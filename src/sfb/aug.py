@@ -23,7 +23,7 @@ Products follow a convolution rule with unit coefficients:
 from __future__ import annotations
 
 from .coeff import CoeffElement, ONE, ZERO, aug_symbol, cp
-from .terms import term_canon
+from .terms import t_prod
 
 
 def p_coeff(t: int) -> CoeffElement:
@@ -36,7 +36,7 @@ def p_coeff(t: int) -> CoeffElement:
 
 
 class AugEnv:
-    """Memoized augmentation over canonical term keys."""
+    """Augmentation memoized on each term as the caller built it."""
 
     def __init__(self):
         self._memo = {}
@@ -47,12 +47,10 @@ class AugEnv:
     def aug_power(self, j: int, term: tuple) -> CoeffElement:
         if j < 0:
             raise ValueError("tower index must be >= 0")
-        key = (j, term_canon(term))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        value = self._aug_power(j, key[1])
-        self._memo[key] = value
+        key = (j, term)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._aug_power(j, term)
         return value
 
     def _aug_power(self, j: int, t: tuple) -> CoeffElement:
@@ -81,10 +79,10 @@ class AugEnv:
             if not t[1]:
                 return ONE if j == 0 else ZERO
             # the rule holds for any split; halving keeps the recursion
-            # depth logarithmic in the number of factors (aug_power
-            # canonicalizes a one-factor product to its factor)
+            # depth logarithmic in the number of factors, and t_prod turns
+            # a one-factor half into its factor, where the recursion ends
             h = len(t[1]) // 2
-            w, z = ("prod", t[1][:h]), ("prod", t[1][h:])
+            w, z = t_prod(*t[1][:h]), t_prod(*t[1][h:])
             # a zero left factor skips its right factor's tower
             terms = (left * self.aug_power(j - k, z)
                      for k in range(j + 1) if (left := self.aug_power(k, w)))

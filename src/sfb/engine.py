@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import reduce
+from functools import cache, reduce
 from math import prod
 
 from .coeff import FLAVORS, CoeffElement, ONE, ZERO, aug_symbol_name, coerce, cp
@@ -252,8 +252,8 @@ def is_geometric(term: tuple, convention: str = "same"):
     found = outside.first_symbol_free_part()
     if found is not None:
         return False, dict(mono_json(found[0]), coeff=str(found[1]))
-    return "unknown", {"pending": sorted(
-        aug_symbol_texts(outside)), "projection": str(outside)}
+    pending = sorted({aug_symbol_name(k) for k in outside.aug_symbols()})
+    return "unknown", {"pending": pending, "projection": str(outside)}
 
 
 def _outer(word: tuple) -> tuple:
@@ -269,27 +269,19 @@ def bm_images(convention: str = "same", present=None):
     its inner word's, `present` runs once per word and once per atom (the
     plain word (0, 0, a, ())), and each multiset product is built from
     its prefix, in memos that live as long as the returned function."""
-    lam, shown, products = {}, {}, {}
+    products = {}
 
+    @cache
     def word_lambda(word):
-        image = lam.get(word)
-        if image is None:
-            if word[:2] == (0, 0):
-                image = lambda_term(bm_term(word), convention)
-            else:
-                flavor, inner = _outer(word)
-                image = _lambda_gamma(flavor, word_lambda(inner), bm_term(inner))
-            lam[word] = image
-        return image
+        if word[:2] == (0, 0):
+            return lambda_term(bm_term(word), convention)
+        flavor, inner = _outer(word)
+        return _lambda_gamma(flavor, word_lambda(inner), bm_term(inner))
 
+    @cache
     def word_image(word):
-        image = shown.get(word)
-        if image is None:
-            image = word_lambda(word)
-            if present is not None:
-                image = present(image)
-            shown[word] = image
-        return image
+        image = word_lambda(word)
+        return image if present is None else present(image)
 
     def product(m):
         image = products.get(m)
@@ -495,10 +487,6 @@ class GammaEngine:
         if not a.is_zero():
             out = out - self.nf_gamma(flavor, other).scale(a)
         return out
-
-
-def aug_symbol_texts(phi: PhiElement) -> set:
-    return {aug_symbol_name(k) for k in phi.aug_symbols()}
 
 
 # --- single-step helper identity ----------------------------------------

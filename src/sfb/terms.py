@@ -10,7 +10,7 @@ A term is a tagged tuple:
     ("sum", (terms...))
     ("prod", (terms...))
 
-Tuples are hashable, so canonical forms double as memo keys.  The
+Tuples are hashable, so a term is its own memo key, as built.  The
 grammar accepted by :func:`parse_term` mirrors the printer; its sum,
 product, power and parenthesis rules are the shared skeleton of
 ``coeff._Scanner``:
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from .coeff import (
     FLAVORS,
-    ONE,
-    ZERO,
     _Scanner,
     _parse_coeff_sum,
     check_flavor,
@@ -127,55 +125,6 @@ def term_degree(t: tuple):
     if len(ds) > 1:
         raise ValueError("inhomogeneous term: degrees %s" % sorted(ds))
     return ds.pop()
-
-
-def term_canon(t: tuple) -> tuple:
-    """Flatten sums and products, merge scalar factors, drop units.
-
-    Does no ring-level rewriting; this is the shape used as a memo key
-    and for parse/print round-trip comparison.
-    """
-    tag = t[0]
-    if tag == "coeff":
-        return t
-    if tag in ("euler", "zgen"):
-        return t
-    if tag == "gamma":
-        return ("gamma", t[1], term_canon(t[2]))
-    if tag == "bar":
-        return ("bar", term_canon(t[1]))
-    if tag == "sum":
-        parts = []
-        for s in t[1]:
-            s = term_canon(s)
-            if s[0] == "sum":
-                parts.extend(s[1])
-            elif s == ("coeff", ZERO):
-                continue
-            else:
-                parts.append(s)
-        return t_sum(*parts)
-    if tag == "prod":
-        scalar = ONE
-        parts = []
-        for s in t[1]:
-            s = term_canon(s)
-            if s[0] == "prod":
-                inner = s[1]
-                if inner and inner[0][0] == "coeff":
-                    scalar = scalar * inner[0][1]
-                    inner = inner[1:]
-                parts.extend(inner)
-            elif s[0] == "coeff":
-                scalar = scalar * s[1]
-            else:
-                parts.append(s)
-        if scalar.is_zero():
-            return ("coeff", ZERO)
-        if scalar == ONE:
-            return t_prod(*parts)
-        return t_prod(("coeff", scalar), *parts)
-    raise ValueError("unknown term tag %r" % (tag,))
 
 
 # --- printer ------------------------------------------------------------

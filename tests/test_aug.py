@@ -10,6 +10,7 @@ from sfb.terms import (
     t_gamma,
     t_int,
     t_prod,
+    t_sum,
     t_zgen,
     term_degree,
 )
@@ -139,6 +140,20 @@ def test_memo_is_by_shape():
     a = t_prod(t_int(2), t_euler("r"))
     b = t_prod(t_euler("r"), t_int(2))
     assert env.aug(t_gamma("s", a)) == env.aug(t_gamma("s", b))
+    # equal values reached through different shapes, including hand-built
+    # products that no constructor makes
+    x, y, z = t_zgen(1, "r"), t_gamma("r", t_euler("s")), t_zgen(2, "s")
+    pairs = [
+        (t_prod(t_int(3), t_prod(x, t_prod(y, z))), t_prod(t_int(3), x, y, z)),
+        (t_sum(x, t_sum(y, t_sum(z, t_int(5)))), t_sum(x, y, z, t_int(5))),
+        (("prod", (y,)), y),
+        (("prod", ()), t_int(1)),
+    ]
+    for shaped, flat in pairs:
+        for t, u in ((shaped, flat), (t_gamma("s", shaped), t_gamma("s", flat))):
+            for j in range(3):
+                assert AugEnv().aug_power(j, t) == AugEnv().aug_power(j, u)
+                assert env.aug_power(j, t) == env.aug_power(j, u)
 
 
 def test_deep_euler_towers_are_memoized():

@@ -174,6 +174,23 @@ def test_realize_from_file(capsys, tmp_path):
     assert doc["decomposition"] == [{"multiplicity": 2, "power": 0}]
 
 
+def test_realize_cross_check_disagreement_exits_3(capsys, monkeypatch):
+    real = sfb.cli.realize_iterative
+
+    def skewed(data):
+        cross = real(data)
+        cross["decomposition"] = cross["decomposition"] + [{"multiplicity": 1, "power": 0}]
+        return cross
+
+    monkeypatch.setattr(sfb.cli, "realize_iterative", skewed)
+    data = json.dumps({"points": [{"weight": 2, "rho": 0, "rho_star": 0}]})
+    code = main(["realize", data])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal: closed-form and iterative defect disagree" in captured.err
+
+
 def test_cobordant(capsys):
     code, doc = run_cli(capsys, "cobordant", "P(1,r)", "P(1,s)")
     assert code == 0 and doc == {"cobordant": True}

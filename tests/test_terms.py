@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sfb.coeff import cp
+from sfb.coeff import ONE, ZERO, cp
 from sfb.engine import random_term
 from sfb.terms import (
     TermParseError,
@@ -15,11 +15,59 @@ from sfb.terms import (
     t_prod,
     t_sum,
     t_zgen,
-    term_canon,
     term_degree,
     term_degrees,
     term_text,
 )
+
+
+def term_canon(t: tuple) -> tuple:
+    """Flatten sums and products, merge scalar factors, drop units.
+
+    Does no ring-level rewriting; this is the shape used for parse/print
+    round-trip comparison.
+    """
+    tag = t[0]
+    if tag == "coeff":
+        return t
+    if tag in ("euler", "zgen"):
+        return t
+    if tag == "gamma":
+        return ("gamma", t[1], term_canon(t[2]))
+    if tag == "bar":
+        return ("bar", term_canon(t[1]))
+    if tag == "sum":
+        parts = []
+        for s in t[1]:
+            s = term_canon(s)
+            if s[0] == "sum":
+                parts.extend(s[1])
+            elif s == ("coeff", ZERO):
+                continue
+            else:
+                parts.append(s)
+        return t_sum(*parts)
+    if tag == "prod":
+        scalar = ONE
+        parts = []
+        for s in t[1]:
+            s = term_canon(s)
+            if s[0] == "prod":
+                inner = s[1]
+                if inner and inner[0][0] == "coeff":
+                    scalar = scalar * inner[0][1]
+                    inner = inner[1:]
+                parts.extend(inner)
+            elif s[0] == "coeff":
+                scalar = scalar * s[1]
+            else:
+                parts.append(s)
+        if scalar.is_zero():
+            return ("coeff", ZERO)
+        if scalar == ONE:
+            return t_prod(*parts)
+        return t_prod(("coeff", scalar), *parts)
+    raise ValueError("unknown term tag %r" % (tag,))
 
 
 def test_constructor_conventions():
