@@ -1,6 +1,8 @@
 """Command-line front end.
 
-stdout carries data (JSON), stderr carries diagnostics.  Exit codes:
+Each ``cmd_*`` returns ``(doc, verdict)``; ``main`` alone prints ``doc`` and
+turns the verdict, or the exception that stopped the command, into the exit
+code.  stdout carries data (JSON), stderr carries diagnostics.  Exit codes:
 0 success / true / realizable; 1 false / rejected / undecided;
 2 parse or validation error (a malformed SFB_STEP_BUDGET too), or input
 nested too deeply; 3 internal consistency failure (the localized-image
@@ -24,8 +26,7 @@ from .coeff import (
 from .engine import (
     DEFAULT_STEP_BUDGET,
     GammaEngine,
-    LambdaMismatch,
-    StepBudgetExceeded,
+    InternalError,
     VARIANTS,
     bm_degree,
     bm_json,
@@ -80,11 +81,10 @@ def _parse_assignments(doc: dict) -> dict:
     return out
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args) -> tuple:
     term = parse_term(args.expr)
     lam = lambda_term(term, args.z_convention)
-    _emit(lam.to_json() if args.json else str(lam))
-    return 0
+    return lam.to_json() if args.json else str(lam), True
 
 
 def _engine(args) -> GammaEngine:
@@ -96,15 +96,14 @@ def _engine(args) -> GammaEngine:
         raise ValueError("SFB_STEP_BUDGET must be an integer >= 0, got %r" % text) from None
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> tuple:
     engine = _engine(args)
     term = parse_term(args.expr)
     nf = engine.normalize(term, check_lambda=not args.no_check_lambda)
-    _emit(nf.to_json() if args.json else nf.text())
-    return 0
+    return nf.to_json() if args.json else nf.text(), True
 
 
-def cmd_geometric(args) -> int:
+def cmd_geometric(args) -> tuple:
     term = parse_term(args.expr)
     verdict, detail = is_geometric(term, args.z_convention)
     doc = {"geometric": verdict}
@@ -112,11 +111,10 @@ def cmd_geometric(args) -> int:
         doc["certificate"] = detail
     elif verdict == "unknown":
         doc["detail"] = detail
-    _emit(doc)
-    return 0 if verdict is True else 1
+    return doc, verdict is True
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> tuple:
     data = fixed_data_from_json(_load_json_arg(args.data))
     result = realize(data)
     cross = realize_iterative(data)
@@ -124,37 +122,31 @@ def cmd_realize(args) -> int:
         result["realizable"]
         and result["decomposition"] != cross["decomposition"]
     ):
-        print("internal: closed-form and iterative defect disagree", file=sys.stderr)
-        return 3
+        raise InternalError("closed-form and iterative defect disagree")
     result["input"] = fixed_data_to_json(data)
-    _emit(result)
-    return 0 if result["realizable"] else 1
+    return result, result["realizable"]
 
 
-def cmd_cobordant(args) -> int:
+def cmd_cobordant(args) -> tuple:
     m1 = parse_manifold(args.expr1)
     m2 = parse_manifold(args.expr2)
     verdict, detail = check_cobordant(m1, m2, args.z_convention)
     doc = {"cobordant": verdict}
     if detail is not None:
         doc["detail"] = detail
-    _emit(doc)
-    return 0 if verdict is True else 1
+    return doc, verdict is True
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple:
     items = enumerate_basis(args.degree, args.variant, args.truncation)
-    _emit(
-        [
-            {k: v for k, v in bm_json(bm, ONE).items() if k != "coeff"}
-            | {"degree": bm_degree(bm)}
-            for bm in items
-        ]
-    )
-    return 0
+    return [
+        {k: v for k, v in bm_json(bm, ONE).items() if k != "coeff"}
+        | {"degree": bm_degree(bm)}
+        for bm in items
+    ], True
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple:
     report = certify_basis(
         args.degree,
         args.variant,
@@ -163,28 +155,24 @@ def cmd_certify(args) -> int:
         inject_duplicate=args.inject_duplicate,
         convention=args.z_convention,
     )
-    _emit(report)
-    return 0 if report["ok"] else 1
+    return report, report["ok"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     terms_report = verify_relations(args.samples, args.seed, args.z_convention)
     manifold_report = verify_manifold_relations(args.samples, args.seed, args.z_convention)
     ok = terms_report["ok"] and manifold_report["ok"]
-    _emit({"terms": terms_report, "manifolds": manifold_report, "ok": ok})
-    return 0 if ok else 1
+    return {"terms": terms_report, "manifolds": manifold_report, "ok": ok}, ok
 
 
-def cmd_subst(args) -> int:
+def cmd_subst(args) -> tuple:
     assignments = _parse_assignments(_load_json_arg(args.assignments))
     term = parse_term(args.expr)
     if args.on == "lambda":
         lam = lambda_term(term, args.z_convention).substitute(assignments)
-        _emit(str(lam))
-        return 0
+        return str(lam), True
     nf = _engine(args).normalize(term)
-    _emit(nf.substitute(assignments).text())
-    return 0
+    return nf.substitute(assignments).text(), True
 
 
 def count(text: str) -> int:
@@ -267,7 +255,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, yes = args.func(args)
+        _emit(doc)
+        return 0 if yes else 1
     except (ValueError, OSError) as exc:
         # every parse error, and invalid JSON, is a ValueError
         print("error: %s" % exc, file=sys.stderr)
@@ -275,7 +265,7 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
-    except (LambdaMismatch, StepBudgetExceeded) as exc:
+    except InternalError as exc:
         print("internal: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:

@@ -58,11 +58,15 @@ from .aug import AUG
 DEFAULT_STEP_BUDGET = 10 ** 6
 
 
-class StepBudgetExceeded(RuntimeError):
+class InternalError(RuntimeError):
+    """A consistency check failed or a budget ran out: exit 3, not a no."""
+
+
+class StepBudgetExceeded(InternalError):
     pass
 
 
-class LambdaMismatch(RuntimeError):
+class LambdaMismatch(InternalError):
     """Normalization produced a different localized image than the input."""
 
 
@@ -598,7 +602,7 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
     n = truncation
     is_musf = variant.startswith("musf")
     atoms = _variant_atoms(variant, degree_bound + (2 * n if is_musf else 0))
-    out = [(0, UNIT)]
+    out = [(0, UNIT)] if degree_bound >= 0 else []
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for x_idx, x in enumerate(atoms):

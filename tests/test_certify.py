@@ -56,8 +56,8 @@ def reference_enumerate_basis(degree_bound, variant="musf", truncation=4):
     is_musf = variant.startswith("musf")
     max_pos = degree_bound + (2 * n if is_musf else 0)
     atoms = _variant_atoms(variant, max_pos)
-    out = [UNIT]
-    seen = {UNIT}
+    out = [UNIT] if degree_bound >= 0 else []
+    seen = set(out)
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for x_idx, x in enumerate(atoms):
@@ -88,8 +88,7 @@ def test_enumeration_matches_generate_then_filter(variant):
             assert got == reference_enumerate_basis(degree, variant, truncation), (
                 variant, degree, truncation,
             )
-            # the unit is a candidate at every bound, negative ones included
-            assert all(bm_degree(bm) <= degree for bm in got if bm != UNIT)
+            assert all(bm_degree(bm) <= degree for bm in got)
 
 
 # --- certify images against the whole-term X route ------------------------

@@ -9,10 +9,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfb
 import sfb.cli
 from sfb.cli import main
+from sfb.engine import VARIANTS, NormalForm
+from sfb.phi import PhiElement
+from test_parse import grammar_text
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -229,6 +234,14 @@ def test_certify_output(capsys):
     assert doc["ok"] is False
 
 
+def test_negative_degree_bound_has_no_candidates(capsys):
+    # not even the unit word, whose degree 0 is above the bound
+    assert run_cli(capsys, "basis", "--variant", "omega", "--degree", "-2") == (0, [])
+    code, doc = run_cli(capsys, "certify", "--variant", "omega", "--degree", "-2")
+    assert code == 0
+    assert doc["degrees"] == [] and doc["ok"] is True
+
+
 def test_verify_small_sample(capsys):
     code, doc = run_cli(capsys, "verify", "--samples", "10", "--seed", "3")
     assert code == 0
@@ -286,6 +299,97 @@ def test_zero_step_budget_admits_no_rewrite(capsys, monkeypatch):
     assert run_cli(capsys, "normalize", "3") == (0, "3")
     assert main(["normalize", "G_r(e_s)"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_no_check_lambda_skips_the_cross_check(capsys, monkeypatch):
+    expected = run_cli(capsys, "normalize", "G_r(G_s(Z(2,r)))")
+    assert expected == (0, "G_r(G_s(Z(2,r)))")
+    monkeypatch.setattr(NormalForm, "lambda_image", lambda self, convention: PhiElement.one())
+    code = main(["normalize", "G_r(G_s(Z(2,r)))"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal: normalize changed the localized image")
+    assert run_cli(capsys, "normalize", "G_r(G_s(Z(2,r)))", "--no-check-lambda") == expected
+
+
+def test_double_dash_passes_a_leading_minus(capsys):
+    # argparse reads "-e_r" as an option; after "--" it is the expression
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", "-e_r"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: expr" in capsys.readouterr().err
+    assert run_cli(capsys, "lambda", "--", "-e_r") == (0, "-e_r")
+    assert run_cli(capsys, "cobordant", "--", "-pt", "-pt") == (0, {"cobordant": True})
+
+
+@st.composite
+def argvs(draw):
+    """A command line for any subcommand, over small bounded inputs."""
+    rng = draw(st.randoms(use_true_random=False))
+
+    def text(lang):
+        return grammar_text(rng, lang, draw(st.integers(0, 2)))
+
+    def flags(*names):
+        return [name for name in names if draw(st.booleans())]
+
+    def choice(name, values):
+        return [name, draw(st.sampled_from(values))]
+
+    command = draw(st.sampled_from(
+        ["lambda", "normalize", "geometric", "realize", "cobordant",
+         "basis", "certify", "verify", "subst"]
+    ))
+    sized = ["--degree", str(draw(st.integers(-4, 10))),
+             "--truncation", str(draw(st.integers(0, 4))),
+             "--variant", draw(st.sampled_from(VARIANTS))]
+    args = {
+        "lambda": lambda: [text("term")] + flags("--json"),
+        "normalize": lambda: [text("term")] + flags("--json", "--no-check-lambda"),
+        "geometric": lambda: [text("term")],
+        "realize": lambda: [json.dumps({"points": draw(st.lists(
+            st.fixed_dictionaries({
+                "weight": st.integers(-6, 6),
+                "rho": st.integers(0, 6),
+                "rho_star": st.integers(0, 6),
+            }),
+            max_size=6,
+        ))})],
+        "cobordant": lambda: [text("manifold"), text("manifold")],
+        "basis": lambda: sized,
+        "certify": lambda: sized + choice("--order", ["z_maxnorm", "neg_lex"])
+        + flags("--inject-duplicate"),
+        "verify": lambda: ["--samples", str(draw(st.integers(0, 5))),
+                           "--seed", str(draw(st.integers(0, 9)))],
+        "subst": lambda: [json.dumps({
+            key: text("coeff")
+            for key in draw(st.sets(st.sampled_from(["A(1;P)", "A(2;Z(1,r))", "g1"])))
+        }), text("term")] + choice("--on", ["lambda", "normalize"]),
+    }[command]()
+    return choice("--z-convention", ["same", "mixed"]) + [command] + args
+
+
+def test_every_command_line_exits_0_1_or_2(capsys):
+    # exit 1 means a definite no and 3 an internal fault, so no bounded
+    # input may end in a traceback or a 3, and only 0 and 1 print a report
+    @given(argvs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(argv):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, captured.err)
+        assert "Traceback" not in captured.err, argv
+        if code == 2:
+            assert captured.out == "", argv
+        else:
+            json.loads(captured.out)
+
+    check()
 
 
 def test_subst_on_lambda(capsys):
