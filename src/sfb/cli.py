@@ -48,8 +48,44 @@ from .manifold import (
 from .terms import parse_term
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(doc, indent: str = "\n") -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder; this
+    recursion over the types a report holds quotes strings with the C
+    quoter.  Any other type (a float too), or a key that is not a
+    string, raises TypeError."""
+    kind = type(doc)
+    if kind is str:
+        return _quote(doc)
+    if kind is int:
+        return int.__repr__(doc)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    inner = indent + "  "
+    if kind is dict:
+        if not doc:
+            return "{}"
+        # the C quoter raises TypeError on a key that is not a string
+        parts = [_quote(key) + ": " + _dumps(value, inner) for key, value in sorted(doc.items())]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        parts = [_dumps(item, inner) for item in doc]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
 def _load_json_arg(arg: str):
@@ -199,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="localized image of an expression")
     p.add_argument("expr")
     p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("normalize", help="rewrite to the additive basis")
     p.add_argument("expr")
@@ -209,24 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the localized-image cross-check",
     )
-    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("geometric", help="test for a geometric representative")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_geometric)
 
     p = sub.add_parser("realize", help="decide isolated fixed-point data")
     p.add_argument("data", help="inline JSON or a file path")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("cobordant", help="compare two manifold expressions")
     p.add_argument("expr1")
     p.add_argument("expr2")
-    p.set_defaults(func=cmd_cobordant)
 
-    for name, func, what in (
-        ("basis", cmd_basis, "enumerate the additive basis"),
-        ("certify", cmd_certify, "certify the additive basis"),
+    for name, what in (
+        ("basis", "enumerate the additive basis"),
+        ("certify", "certify the additive basis"),
     ):
         p = sub.add_parser(name, help=what)
         p.add_argument("--degree", type=int, default=12)
@@ -235,27 +266,28 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "certify":
             p.add_argument("--order", choices=("z_maxnorm", "neg_lex"), default="z_maxnorm")
             p.add_argument("--inject-duplicate", action="store_true")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check the defining identities")
     p.add_argument("--samples", type=count, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("subst", help="substitute A-symbol assignments")
     p.add_argument("assignments", help="inline JSON or a file path")
     p.add_argument("expr")
     p.add_argument("--on", choices=("lambda", "normalize"), default="lambda")
-    p.set_defaults(func=cmd_subst)
 
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        doc, yes = args.func(args)
+        # looked up per call, so a command patched after import runs
+        doc, yes = globals()["cmd_" + args.command](args)
         _emit(doc)
         return 0 if yes else 1
     except (ValueError, OSError) as exc:

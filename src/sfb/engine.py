@@ -648,7 +648,9 @@ def certify_basis(
     else:
         raise ValueError("unknown monomial order %r" % (order,))
     image = bm_images(convention, present)
-    if inject_duplicate and len(candidates) > 1:
+    if inject_duplicate:
+        if not candidates:
+            raise ValueError("nothing to duplicate: no word of degree <= %d" % degree_bound)
         candidates = candidates + [candidates[-1]]
     count_checked = variant.startswith("omega")
     degrees_report = []

@@ -242,6 +242,22 @@ def test_negative_degree_bound_has_no_candidates(capsys):
     assert doc["degrees"] == [] and doc["ok"] is True
 
 
+def test_inject_duplicate_fails_at_every_bound(capsys):
+    # the negative control duplicates the last word, even when it is the
+    # only one; with no word at all there is nothing to duplicate
+    code, doc = run_cli(capsys, "certify", "--variant", "omega", "--degree", "0",
+                        "--inject-duplicate")
+    assert code == 1 and doc["ok"] is False
+    [entry] = doc["degrees"]
+    assert entry["degree"] == 0 and entry["count"] == 2
+    assert [f["kind"] for f in entry["failures"]] == ["lead-collision"]
+    code = main(["certify", "--variant", "omega", "--degree", "-2", "--inject-duplicate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "nothing to duplicate" in captured.err
+
+
 def test_verify_small_sample(capsys):
     code, doc = run_cli(capsys, "verify", "--samples", "10", "--seed", "3")
     assert code == 0
@@ -388,6 +404,7 @@ def test_every_command_line_exits_0_1_or_2(capsys):
             assert captured.out == "", argv
         else:
             json.loads(captured.out)
+        assert not ("certify" in argv and "--inject-duplicate" in argv and code == 0), argv
 
     check()
 
@@ -548,6 +565,43 @@ def test_realize_rejects_malformed_points(capsys, data):
     assert "Traceback" not in captured.err
 
 
+json_text = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600\ud800\udfff'),
+))
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-(2 ** 80), 2 ** 80) | json_text,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple)
+    | st.dictionaries(json_text, kids),
+    max_leaves=15,
+)
+
+
+@given(json_trees)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_dumps_is_json_dumps(doc):
+    assert sfb.cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, {"a": [0.0]}, {1, 2}, [object()], {1: "a"}, {"a": {2: None}}],
+    ids=["float", "nested-float", "set", "object", "int-key", "nested-int-key"],
+)
+def test_dumps_rejects_what_reports_never_hold(doc):
+    with pytest.raises(TypeError):
+        sfb.cli._dumps(doc)
+
+
+def test_main_never_builds_a_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(sfb.cli, "build_parser", refuse)
+    assert run_cli(capsys, "lambda", "e_r") == (0, "e_r")
+
+
 def child_env(**extra):
     """Environment whose Python imports the same sfb as this test does."""
     paths = [str(Path(sfb.__file__).resolve().parents[1])]
@@ -576,6 +630,30 @@ def test_console_script_and_budget_abort():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == "e_r"
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    # each pair differs in one flag; in-process runs alternate between the
+    # two sides, and each must print what a fresh process prints
+    pairs = [
+        (["--z-convention", "mixed", "lambda", "Z(2,r)"], ["lambda", "Z(2,r)"]),
+        (["certify", "--variant", "omega", "--degree", "6", "--inject-duplicate"],
+         ["certify", "--variant", "omega", "--degree", "6"]),
+        (["normalize", "--json", "G_r(G_s(e_r))^2"], ["normalize", "G_r(G_s(e_r))^2"]),
+    ]
+    for pair in pairs:
+        fresh = []
+        for argv in pair:
+            out = subprocess.run(
+                [sys.executable, "-m", "sfb.cli"] + argv,
+                capture_output=True, text=True, env=child_env(),
+            )
+            fresh.append((out.returncode, out.stdout))
+        assert fresh[0] != fresh[1]
+        capsys.readouterr()
+        for i in (0, 1, 0, 1):
+            code = main(pair[i])
+            assert (code, capsys.readouterr().out) == fresh[i], pair[i]
 
 
 def test_power_of_a_sum_answers_promptly():
