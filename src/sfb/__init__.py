@@ -18,7 +18,6 @@ from .engine import (
     certify_basis,
     enumerate_basis,
     lambda_term,
-    swap_division_flavor,
     two_colored_partitions,
     verify_relations,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "from_z_basis",
     "lambda_manifold",
     "lambda_term",
-    "swap_division_flavor",
     "parse_coeff",
     "parse_manifold",
     "parse_term",

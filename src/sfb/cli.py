@@ -7,7 +7,7 @@ code.  stdout carries data (JSON), stderr carries diagnostics.  Exit codes:
 2 parse or validation error (a malformed SFB_STEP_BUDGET too), or input
 nested too deeply; 3 internal consistency failure (the localized-image
 cross-check or the rewrite step budget) or any other unexpected
-exception."""
+exception.  A reader that closes stdout early does not change the code."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .coeff import (
     ONE,
     CoeffParseError,
     _Scanner,
+    aug_symbol_name,
     parse_coeff,
     parse_coeff_atom,
 )
@@ -85,7 +86,8 @@ def _dumps(doc, indent: str = "\n") -> str:
 
 
 def _emit(doc) -> None:
-    print(_dumps(doc))
+    # flushed here, so a closed reader shows up in main, not at exit
+    print(_dumps(doc), flush=True)
 
 
 def _load_json_arg(arg: str):
@@ -113,7 +115,10 @@ def _parse_assignments(doc: dict) -> dict:
         raise ValueError("assignments must be a JSON object")
     out = {}
     for name, value in doc.items():
-        out[_parse_aug_key(name)] = parse_coeff(str(value))
+        key = _parse_aug_key(name)
+        if key in out:
+            raise ValueError("symbol %s is assigned twice" % aug_symbol_name(key))
+        out[key] = parse_coeff(str(value))
     return out
 
 
@@ -123,17 +128,17 @@ def cmd_lambda(args) -> tuple:
     return lam.to_json() if args.json else str(lam), True
 
 
-def _engine(args) -> GammaEngine:
+def _engine() -> GammaEngine:
     """The rewriter, under the step budget that ``SFB_STEP_BUDGET`` sets."""
     text = os.environ.get("SFB_STEP_BUDGET", str(DEFAULT_STEP_BUDGET))
     try:
-        return GammaEngine(count(text), args.z_convention)
+        return GammaEngine(count(text))
     except (ValueError, argparse.ArgumentTypeError):
         raise ValueError("SFB_STEP_BUDGET must be an integer >= 0, got %r" % text) from None
 
 
 def cmd_normalize(args) -> tuple:
-    engine = _engine(args)
+    engine = _engine()
     term = parse_term(args.expr)
     nf = engine.normalize(term, check_lambda=not args.no_check_lambda)
     return nf.to_json() if args.json else nf.text(), True
@@ -195,8 +200,8 @@ def cmd_certify(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
-    terms_report = verify_relations(args.samples, args.seed, args.z_convention)
-    manifold_report = verify_manifold_relations(args.samples, args.seed, args.z_convention)
+    terms_report = verify_relations(args.samples, args.seed)
+    manifold_report = verify_manifold_relations(args.samples, args.seed)
     ok = terms_report["ok"] and manifold_report["ok"]
     return {"terms": terms_report, "manifolds": manifold_report, "ok": ok}, ok
 
@@ -207,7 +212,7 @@ def cmd_subst(args) -> tuple:
     if args.on == "lambda":
         lam = lambda_term(term, args.z_convention).substitute(assignments)
         return str(lam), True
-    nf = _engine(args).normalize(term)
+    nf = _engine().normalize(term)
     return nf.substitute(assignments).text(), True
 
 
@@ -288,7 +293,12 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a command patched after import runs
         doc, yes = globals()["cmd_" + args.command](args)
-        _emit(doc)
+        try:
+            _emit(doc)
+        except BrokenPipeError:
+            # the reader left early; the verdict stands.  The unwritten
+            # rest goes to devnull, so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0 if yes else 1
     except (ValueError, OSError) as exc:
         # every parse error, and invalid JSON, is a ValueError

@@ -423,32 +423,31 @@ def random_manifold(rng, depth: int = 2) -> tuple:
     return m_gammastar(random_manifold(rng, depth - 1))
 
 
-def verify_manifold_relations(samples: int = 200, seed: int = 0,
-                              convention: str = "same") -> dict:
+def verify_manifold_relations(samples: int = 200, seed: int = 0) -> dict:
     """The quotient-side identities, checked on the localized images of
     random manifold expressions: the exchange identity
     gamma(x)(y - bar y) = (x - bar x) gamma(y), and the reordering
     identity with the corrected scalar coefficient."""
     rng = random.Random(seed)
-    sphere = z_gen(1, "r", convention)
+    sphere = z_gen(1, "r")
     checks = {"exchange": 0, "reorder_corrected": 0}
     failures = []
     for k in range(samples):
         x = random_manifold(rng, depth=2)
         y = random_manifold(rng, depth=2)
-        lam_x = lambda_manifold(x, convention)
-        lam_y = lambda_manifold(y, convention)
+        lam_x = lambda_manifold(x)
+        lam_y = lambda_manifold(y)
         xbar = PhiElement.const(aug_manifold(x))
         ybar = PhiElement.const(aug_manifold(y))
         for build in (m_gamma, m_gammastar):
-            gx = lambda_manifold(build(x), convention)
-            gy = lambda_manifold(build(y), convention)
+            gx = lambda_manifold(build(x))
+            gy = lambda_manifold(build(y))
             if (gx * (lam_y - ybar) - (lam_x - xbar) * gy).is_zero():
                 checks["exchange"] += 1
             else:
                 failures.append(("exchange", k))
-        sg = lambda_manifold(m_gammastar(m_gamma(x)), convention)
-        gs = lambda_manifold(m_gamma(m_gammastar(x)), convention)
+        sg = lambda_manifold(m_gammastar(m_gamma(x)))
+        gs = lambda_manifold(m_gamma(m_gammastar(x)))
         coeff = aug_manifold(m_gammastar(x))
         if (sg - gs - sphere.scale(coeff)).is_zero():
             checks["reorder_corrected"] += 1

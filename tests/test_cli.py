@@ -320,13 +320,16 @@ def test_zero_step_budget_admits_no_rewrite(capsys, monkeypatch):
 def test_no_check_lambda_skips_the_cross_check(capsys, monkeypatch):
     expected = run_cli(capsys, "normalize", "G_r(G_s(Z(2,r)))")
     assert expected == (0, "G_r(G_s(Z(2,r)))")
-    monkeypatch.setattr(NormalForm, "lambda_image", lambda self, convention: PhiElement.one())
-    code = main(["normalize", "G_r(G_s(Z(2,r)))"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("internal: normalize changed the localized image")
-    assert run_cli(capsys, "normalize", "G_r(G_s(Z(2,r)))", "--no-check-lambda") == expected
+    monkeypatch.setattr(NormalForm, "lambda_image", lambda self: PhiElement.one())
+    # the cross-check runs, and can fail, under either pole convention
+    for prefix in ([], ["--z-convention", "mixed"]):
+        code = main(prefix + ["normalize", "G_r(G_s(Z(2,r)))"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal: normalize changed the localized image")
+        argv = prefix + ["normalize", "G_r(G_s(Z(2,r)))", "--no-check-lambda"]
+        assert run_cli(capsys, *argv) == expected
 
 
 def test_double_dash_passes_a_leading_minus(capsys):
@@ -426,6 +429,17 @@ def test_subst_on_normalize(capsys):
     assert code == 0
     assert "A(1;P)" not in doc
     assert "-3*g1^2*G_s(e_r)" in doc
+
+
+@pytest.mark.parametrize("keys", [("A(1;P)", " A(1;P)"), (" A(1;P)", "A(1;P)")])
+def test_subst_refuses_a_symbol_named_twice(capsys, keys):
+    # the two keys parse to one symbol; neither value may silently win
+    assignments = json.dumps(dict(zip(keys, ("3*g1^2", "g1^2"))))
+    code = main(["subst", assignments, "G_s(G_s(G_s(G_s(e_r))))"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "A(1;P)" in captured.err
 
 
 def test_parse_errors_exit_2(capsys):
@@ -630,6 +644,33 @@ def test_console_script_and_budget_abort():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == "e_r"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["lambda", "e_r"], 0),
+        (["geometric", "e_r"], 1),
+        (["certify", "--variant", "musf", "--degree", "12", "--truncation", "6"], 1),
+    ],
+    ids=["lambda", "geometric", "certify"],
+)
+def test_closed_stdout_keeps_the_verdict(argv, verdict, unbuffered):
+    # the reader is gone before the report is written: the exit code is
+    # still the verdict, and nothing about the pipe reaches stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "sfb.cli"] + argv, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == verdict, out.stderr
+    for noise in ("Broken pipe", "Traceback", "Exception ignored"):
+        assert noise not in out.stderr
 
 
 def test_shared_parser_keeps_no_state(capsys):

@@ -15,14 +15,16 @@ from sfb.engine import (
     StepBudgetExceeded,
     Z1,
     bm_degree,
+    bm_images,
     bm_is_legal,
     bm_term,
     is_geometric,
     lambda_term,
-    swap_division_flavor,
     random_term,
     z_atom,
 )
+from sfb.coeff import ONE
+from sfb.manifold import lambda_manifold, random_manifold
 from sfb.phi import PhiElement
 from sfb.terms import (
     parse_term,
@@ -111,13 +113,19 @@ def test_lambda_image_matches_direct_map(engine):
     assert nf.lambda_image() == lambda_term(t)
 
 
-def test_mixed_pole_convention_engine():
-    eng = GammaEngine(z_convention="mixed")
+def image_in(convention, nf):
+    """The localized image of a normal form under either pole convention."""
+    image = bm_images(convention)
+    return PhiElement.total((image(bm), c) for bm, c in nf.terms.items())
+
+
+def test_mixed_pole_convention_engine(engine):
+    # the rewriter has no convention; its normal form keeps the mixed image
     rng = random.Random(24)
     for _ in range(60):
         t = random_term(rng, depth=3, max_z=4)
-        nf = eng.normalize(t)  # built-in image cross-check must hold
-        assert nf.lambda_image("mixed") == lambda_term(t, "mixed")
+        nf = engine.normalize(t)  # built-in image cross-check must hold
+        assert image_in("mixed", nf) == lambda_term(t, "mixed")
 
 
 def test_lambda_image_equals_unmemoized_definition(engine):
@@ -131,17 +139,38 @@ def test_lambda_image_equals_unmemoized_definition(engine):
             direct = PhiElement.zero()
             for bm, c in nf.terms.items():
                 direct = direct + lambda_term(bm_term(bm), convention).scale(c)
-            assert nf.lambda_image(convention) == direct
+            assert image_in(convention, nf) == direct
+        assert nf.lambda_image() == image_in("same", nf)
 
 
-def test_identity_rewrite_helper():
-    t = t_gamma("s", t_prod(t_zgen(2, "r"), t_euler("s")))
-    out = swap_division_flavor(t)
-    assert lambda_term(out) == lambda_term(t)
-    t2 = t_gamma("r", t_zgen(3, "s"))
-    assert lambda_term(swap_division_flavor(t2)) == lambda_term(t2)
-    with pytest.raises(ValueError):
-        swap_division_flavor(t_euler("r"))
+def pole_swap(image):
+    """The ring automorphism X(n,V) -> X(n,V) + e_V'^-(n+1) - e_V^-(n+1),
+    V' the other flavor, applied monomial by monomial."""
+    out = PhiElement.zero()
+    for (a, b, xs), c in image.terms.items():
+        term = PhiElement({(a, b, ()): c})
+        for n, fl in xs:
+            other = "s" if fl == "r" else "r"
+            x = PhiElement({(0, 0, ((n, fl),)): ONE})
+            term = term * (x + PhiElement.euler(other, -n - 1) - PhiElement.euler(fl, -n - 1))
+        out = out + term
+    return out
+
+
+def test_mixed_images_are_the_pole_swap_of_same_images():
+    # why the rewriter and verify need no convention: an equality of
+    # images holds under both or neither, since pole_swap is invertible
+    rng = random.Random(31)
+    moved = 0
+    for _ in range(300):
+        t = random_term(rng, depth=3, max_z=5)
+        same = lambda_term(t)
+        assert lambda_term(t, "mixed") == pole_swap(same)
+        moved += lambda_term(t, "mixed") != same
+    for _ in range(100):
+        m = random_manifold(rng, depth=2)
+        assert lambda_manifold(m, "mixed") == pole_swap(lambda_manifold(m))
+    assert moved > 100  # the conventions do differ on most samples
 
 
 def test_step_budget():
@@ -249,9 +278,9 @@ def test_bar_inside_engine(engine):
 
 # sha256 of the concatenated `normalize --json` outputs of 40 seeded
 # random terms, recorded from the rewriter before each of its identities
-# (peel, product rule, outer-operator split) was coded once; the
-# normal form does not depend on the pole convention, only the built-in
-# image cross-check does, so both conventions pin the same digest
+# (peel, product rule, outer-operator split) was coded once; neither
+# the normal form nor the image cross-check depends on the pole
+# convention, so both conventions pin the same digest
 NORMALIZE_JSON_40 = "60c76305169fb11ec0a171477994e6322744945b004dc4375f457708882704ad"
 
 
