@@ -110,6 +110,10 @@ def _parse_aug_key(name: str):
     return keys[0]
 
 
+# JSON names of the types json.loads makes that an assignment may not hold
+_JSON_TYPES = {type(None): "null", bool: "boolean", float: "number", list: "array", dict: "object"}
+
+
 def _parse_assignments(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("assignments must be a JSON object")
@@ -118,6 +122,11 @@ def _parse_assignments(doc: dict) -> dict:
         key = _parse_aug_key(name)
         if key in out:
             raise ValueError("symbol %s is assigned twice" % aug_symbol_name(key))
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise ValueError(
+                "value of %s must be a string or an integer, got JSON %s"
+                % (aug_symbol_name(key), _JSON_TYPES[type(value)])
+            )
         out[key] = parse_coeff(str(value))
     return out
 

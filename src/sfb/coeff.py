@@ -116,6 +116,14 @@ class Sparse:
     def zero(cls):
         return cls()
 
+    @classmethod
+    def _of(cls, terms: dict):
+        """An instance that holds `terms` itself, unchecked: every value
+        must be nonzero."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()})
 
@@ -175,7 +183,9 @@ class CoeffElement(Sparse):
 
     @staticmethod
     def integer(n: int) -> "CoeffElement":
-        return CoeffElement({0: n}) if n else CoeffElement()
+        if -_SMALL_BOUND <= n <= _SMALL_BOUND:
+            return _SMALL[n + _SMALL_BOUND]
+        return CoeffElement._of({0: n})
 
     @staticmethod
     def one() -> "CoeffElement":
@@ -269,11 +279,10 @@ class CoeffElement(Sparse):
 
     def as_int(self):
         """The integer value if the element is constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
-        return None
+        terms = self.terms
+        if len(terms) == 1:
+            return terms.get(0)
+        return None if terms else 0
 
     def aug_symbols(self) -> list:
         """Sorted list of A-symbol keys appearing anywhere."""
@@ -367,6 +376,13 @@ def _mono_str(mono) -> str:
     return "*".join(factors)
 
 
+# one shared instance per small constant: the Laurent products make a
+# constant coefficient for every term, and most of them are small
+_SMALL_BOUND = 16
+_SMALL = [
+    CoeffElement._of({0: n}) if n else CoeffElement()
+    for n in range(-_SMALL_BOUND, _SMALL_BOUND + 1)
+]
 ZERO = CoeffElement.zero()
 ONE = CoeffElement.integer(1)
 

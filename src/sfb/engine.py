@@ -589,19 +589,18 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
     is_musf = variant.startswith("musf")
     atoms = _variant_atoms(variant, degree_bound + (2 * n if is_musf else 0))
     out = [(0, UNIT)] if degree_bound >= 0 else []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            for x_idx, x in enumerate(atoms):
-                base_cost = i + j + (1 if x[0] == "euler" else 0)
-                if base_cost > n:
-                    continue
-                word = (i, j) != (0, 0)
-                room = degree_bound - 2 * (i + j) - atom_degree(x)
-                for left, m in _multisets(
-                    atoms[x_idx:], room, n - base_cost if is_musf else n
-                ):
-                    if not word or _word_ok(variant, i, j, x, m):
-                        out.append((degree_bound - left, (i, j, x, m)))
+    # the multisets after x depend on the operators only through i + j
+    for ops in range(n + 1):
+        for x_idx, x in enumerate(atoms):
+            base_cost = ops + (1 if x[0] == "euler" else 0)
+            if base_cost > n:
+                continue
+            room = degree_bound - 2 * ops - atom_degree(x)
+            tails = _multisets(atoms[x_idx:], room, n - base_cost if is_musf else n)
+            for i in range(ops + 1):
+                for left, m in tails:
+                    if not ops or _word_ok(variant, i, ops - i, x, m):
+                        out.append((degree_bound - left, (i, ops - i, x, m)))
     out.sort()
     return [bm for _, bm in out]
 

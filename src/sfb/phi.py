@@ -53,7 +53,9 @@ def euler_mono(flavor: Flavor, k: int) -> tuple:
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    return (m1[0] + m2[0], m1[1] + m2[1], tuple(sorted(m1[2] + m2[2])))
+    x1, x2 = m1[2], m2[2]
+    xs = tuple(sorted(x1 + x2)) if x1 and x2 else x1 or x2
+    return (m1[0] + m2[0], m1[1] + m2[1], xs)
 
 
 def mono_degree(m: tuple) -> int:
@@ -81,9 +83,11 @@ class Combination(Sparse):
 
     def add_scaled(self, other, c):
         """self += c * other, in place; c is a CoeffElement or an int."""
+        unit = (c if isinstance(c, int) else c.as_int()) == 1
         acc = self.terms
         for k, v in other.terms.items():
-            v = c * v
+            if not unit:
+                v = c * v
             s = acc.get(k)
             if s is not None:
                 v = s + v
@@ -184,9 +188,33 @@ class PhiElement(Combination):
     # --- ring structure ---------------------------------------------------
 
     def __mul__(self, other):
+        """The Laurent product, by the shape of the factors.  A one-term
+        factor c0*m0 relabels the other factor: m -> m*m0 is injective
+        and Z[g, A] has no zero divisors, so nothing collides or
+        vanishes.  Two factors with constant coefficients multiply as
+        ints.  Only the rest multiplies CoeffElements pair by pair."""
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((m0, c0),) = b.items()
+            if c0.as_int() == 1:
+                return self._of({mono_mul(m, m0): c for m, c in a.items()})
+            return self._of({mono_mul(m, m0): c * c0 for m, c in a.items()})
+        ints_a = _int_coefficients(a)
+        ints_b = ints_a is not None and _int_coefficients(b)
+        if ints_b:
+            sums: dict = {}
+            # mono_mul, inlined: flat manifold powers spend their time here
+            for (a1, b1, x1), n1 in ints_a:
+                for (a2, b2, x2), n2 in ints_b:
+                    xs = tuple(sorted(x1 + x2)) if x1 and x2 else x1 or x2
+                    m = (a1 + a2, b1 + b2, xs)
+                    sums[m] = sums.get(m, 0) + n1 * n2
+            return self._of({m: CoeffElement.integer(n) for m, n in sums.items() if n})
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = mono_mul(m1, m2)
                 v = c1 * c2
                 s = out.get(m)
@@ -196,7 +224,7 @@ class PhiElement(Combination):
                     out[m] = v
                 else:
                     out.pop(m, None)
-        return type(self)(out)
+        return self._of(out)
 
     def homogeneous_component(self, d: int) -> "PhiElement":
         if d % 2:
@@ -244,6 +272,17 @@ class PhiElement(Combination):
         return [
             dict(mono_json(m), coeff=str(c)) for m, c in sorted(self.terms.items())
         ]
+
+
+def _int_coefficients(terms: dict):
+    """[(monomial, int)] if every coefficient is a constant, else None."""
+    out = []
+    for m, c in terms.items():
+        n = c.as_int()
+        if n is None:
+            return None
+        out.append((m, n))
+    return out
 
 
 def mono_json(m: tuple) -> dict:

@@ -442,6 +442,32 @@ def test_subst_refuses_a_symbol_named_twice(capsys, keys):
     assert "A(1;P)" in captured.err
 
 
+@pytest.mark.parametrize(
+    "value, kind",
+    [("null", "null"), ("true", "boolean"), ("false", "boolean"), ("1.5", "number"),
+     ("[1]", "array"), ('{"g1": 1}', "object")],
+)
+def test_subst_value_must_be_text_or_integer(capsys, value, kind):
+    # no JSON value is read through its Python text, such as 'None'
+    code = main(["subst", '{"A(1;P)": %s}' % value, "G_s(G_s(e_r))"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: value of A(1;P) must be a string or an integer, got JSON %s\n" % kind
+    )
+
+
+def test_subst_integer_value_is_the_constant(capsys):
+    expr = "G_s(G_s(G_s(e_r)))"
+    assert run_cli(capsys, "subst", '{"A(1;P)": 0}', expr) == run_cli(
+        capsys, "subst", '{"A(1;P)": "0"}', expr
+    )
+    code = main(["subst", '{"A(1;P)": 2}', expr])
+    assert code == 2
+    assert "degree mismatch for A(1;P)" in capsys.readouterr().err
+
+
 def test_parse_errors_exit_2(capsys):
     for argv in (
         ["lambda", "Z(0,r)"],
@@ -493,6 +519,7 @@ def test_flat_powers_are_not_deep(capsys):
         ["cobordant", "pt^99999999999999999999", "pt"],
         ["lambda", "sigma(g1^99999999999999999999)"],
         ["lambda", "sigma(g1^9223372036854775807*g1)"],
+        ["lambda", "sigma(g1^9223372036854775807)*sigma(g1)"],
     ],
     ids=lambda argv: argv[1],
 )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sfb.coeff import CoeffElement, aug_symbol, aug_symbol_key, cp
 from sfb.phi import (
     PhiElement,
+    ZElement,
     from_z_basis,
     leading_term,
     mono,
@@ -117,6 +118,69 @@ def _phi_strategy():
         return acc
 
     return st.lists(st.tuples(monos, coeffs), max_size=4).map(build)
+
+
+def _reference_product(x, y):
+    """The generic Laurent product: every pair of terms through the
+    coefficient ring, sums accumulated, zero sums dropped."""
+    out = {}
+    for (a1, b1, xs1), c1 in x.terms.items():
+        for (a2, b2, xs2), c2 in y.terms.items():
+            m = (a1 + a2, b1 + b2, tuple(sorted(xs1 + xs2)))
+            v = out.get(m, 0) + c1 * c2
+            if v.terms:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return type(x)(out)
+
+
+def _laurent_strategy(cls):
+    """Elements of cls with up to four terms: all-integer coefficients
+    over a few monomials, so that sums cancel, or coefficients with g's
+    and A-symbols over more; one-term operands and zero are among them."""
+    low = 2 if cls is ZElement else 1
+
+    def monos(lo, hi, gens):
+        return st.tuples(
+            st.integers(min_value=lo, max_value=hi),
+            st.integers(min_value=lo, max_value=hi),
+            st.lists(gens, max_size=hi - lo).map(lambda xs: tuple(sorted(xs))),
+        )
+
+    few = monos(-1, 0, st.just((low, "r")))
+    many = monos(-2, 1, st.tuples(st.sampled_from([low, low + 1]), st.sampled_from("rs")))
+    units = st.sampled_from([1, -1]).map(CoeffElement.integer)
+    ints = st.sampled_from([1, -1, 2, -3]).map(CoeffElement.integer)
+    symbolic = st.sampled_from(
+        [cp(1), aug_symbol(1, "P"), cp(1) - aug_symbol(1, "P"), 2 * cp(2) + 1]
+    )
+    return st.one_of(
+        st.dictionaries(few, units, min_size=2, max_size=4),
+        st.dictionaries(many, st.one_of(ints, symbolic), max_size=4),
+    ).map(cls)
+
+
+@pytest.mark.parametrize("cls", [PhiElement, ZElement])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_generic_double_loop(cls, data):
+    x = data.draw(_laurent_strategy(cls))
+    y = data.draw(_laurent_strategy(cls))
+    product = x * y
+    assert type(product) is cls
+    assert product == _reference_product(x, y)
+    assert all(c.terms for c in product.terms.values())
+
+
+def test_integer_product_drops_cancelled_terms():
+    # (e_r^-1 + e_s^-1)(e_r^-1 - e_s^-1): the two cross terms cancel
+    plus = PhiElement.euler("r", -1) + PhiElement.euler("s", -1)
+    minus = PhiElement.euler("r", -1) - PhiElement.euler("s", -1)
+    product = plus * minus
+    assert product.terms == {mono(-2, 0): 1, mono(0, -2): -1}
+    assert product == _reference_product(plus, minus)
+    assert (plus * PhiElement.zero()).is_zero() and (PhiElement.zero() * minus).is_zero()
 
 
 @given(_phi_strategy())
