@@ -65,8 +65,6 @@ class AugEnv:
             n = t[1]
             if j == 0:
                 return cp(n)
-            if n == 1:
-                return p_coeff(j)
             return aug_symbol(j, "Z(%d,%s)" % (n, t[2]))
         if tag == "gamma":
             if t[1] == "s":

@@ -93,11 +93,13 @@ def aug_symbol_key(j: int, base: str) -> GenKey:
     """Deterministic generator key for the augmentation symbol A(j;base).
 
     Degree bookkeeping: applying the degree-raising operation j times to
-    an atom of degree d gives 2j + d.
+    an atom of degree d gives 2j + d.  The degree-2 atoms Z(1,r) and
+    Z(1,s) are both the sphere class P, so A(j;Z(1,V)) is A(j;P).
     """
     if j < 1:
         raise ValueError("A-symbol star depth must be >= 1")
-    return ("A", j, base, 2 * j + base_key_degree(base))
+    d = base_key_degree(base)
+    return ("A", j, "P" if d == 2 else base, 2 * j + d)
 
 
 class Sparse:

@@ -42,6 +42,7 @@ from .coeff import FLAVORS, CoeffElement, ONE, ZERO, aug_symbol_name, coerce, cp
 from .phi import (
     Combination,
     PhiElement,
+    euler_mono,
     leading_term,
     mono_json,
     neg_lex_key,
@@ -243,10 +244,11 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
     raise ValueError("unknown term tag %r" % (tag,))
 
 
-def _lambda_gamma(flavor: str, inner: PhiElement, inner_term: tuple) -> PhiElement:
-    """lambda(G_V y) = e_V^-1 (lambda(y) - bar y), given lambda(y)."""
-    scalar = PhiElement.const(AUG.aug(inner_term))
-    return PhiElement.euler(flavor, -1) * (inner - scalar)
+def _lambda_gamma(flavor: str, inner, inner_term: tuple):
+    """lambda(G_V y) = e_V^-1 (lambda(y) - bar y) in inner's presentation."""
+    ring = type(inner)
+    scalar = ring({(0, 0, ()): AUG.aug(inner_term)})
+    return ring({euler_mono(flavor, -1): ONE}) * (inner - scalar)
 
 
 def is_geometric(term: tuple, convention: str = "same"):
@@ -274,25 +276,22 @@ def _outer(word: tuple) -> tuple:
 
 
 def bm_images(convention: str = "same", present=None):
-    """bm -> lambda(bm), or present(lambda(bm)) for a ring map `present`
-    such as to_z_basis.  lambda is multiplicative, so an image is its
-    bare word's image times its atoms'.  Each word's lambda is built from
-    its inner word's, `present` runs once per word and once per atom (the
-    plain word (0, 0, a, ())), and each multiset product is built from
-    its prefix, in memos that live as long as the returned function."""
+    """bm -> lambda(bm), or its image under a ring map `present`, such as
+    to_z_basis, that fixes e_r, e_s and the constants.  lambda is
+    multiplicative, so an image is its bare word's image times its
+    atoms'.  `present` runs once per plain word (0, 0, a, ()), each
+    operator word is built from its inner word in that presentation, and
+    each multiset product from its prefix, in memos that live as long as
+    the returned function."""
     products = {}
 
     @cache
-    def word_lambda(word):
-        if word[:2] == (0, 0):
-            return lambda_term(bm_term(word), convention)
-        flavor, inner = _outer(word)
-        return _lambda_gamma(flavor, word_lambda(inner), bm_term(inner))
-
-    @cache
     def word_image(word):
-        image = word_lambda(word)
-        return image if present is None else present(image)
+        if word[:2] == (0, 0):
+            image = lambda_term(bm_term(word), convention)
+            return image if present is None else present(image)
+        flavor, inner = _outer(word)
+        return _lambda_gamma(flavor, word_image(inner), bm_term(inner))
 
     def product(m):
         image = products.get(m)

@@ -136,10 +136,9 @@ class Combination(Sparse):
     # --- A-symbols ----------------------------------------------------------
 
     def aug_symbols(self) -> list:
-        seen = set()
-        for c in self.terms.values():
-            seen.update(c.aug_symbols())
-        return sorted(seen, key=lambda k: (k[3], k[1], k[2]))
+        """The symbols of every coefficient, named and ordered by the ring."""
+        monos = (m for c in self.terms.values() for m in c.terms)
+        return CoeffElement(dict.fromkeys(monos, 1)).aug_symbols()
 
     def has_aug_symbols(self) -> bool:
         return any(c.has_aug_symbols() for c in self.terms.values())

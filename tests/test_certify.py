@@ -2,6 +2,7 @@
 enumeration, the whole-term localized image, and pinned reports."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -105,6 +106,24 @@ def test_certify_images_match_whole_term_route(variant, degree, convention):
         lam = lambda_term(bm_term(bm), convention)
         assert x_image(bm) == lam, bm
         assert z_image(bm) == to_z_basis(lam), bm
+
+
+def test_present_runs_once_per_plain_word():
+    # present fixes e_r, e_s and the constants, so it runs on the image of
+    # each plain word reached (a generator or the unit), once, and never
+    # on an operator word's image
+    calls = []
+
+    def present(image):
+        calls.append(image)
+        return to_z_basis(image)
+
+    image = bm_images("same", present)
+    words = enumerate_basis(12, "musf", 6)
+    for bm in words:
+        image(bm)
+    plain = {(0, 0, a, ()) for _, _, x, m in words for a in (x,) + m}
+    assert Counter(calls) == Counter(lambda_term(bm_term(w)) for w in plain)
 
 
 # --- reports pinned from the whole-term route --------------------------------

@@ -127,6 +127,13 @@ def test_normalize(capsys):
     assert doc == "3*g1*Z(2,s) + G_r(G_s(G_s(e_r))) + G_r(G_r(G_s(e_r)))"
 
 
+def test_normalize_long_multiset(capsys):
+    # the cross-check builds a multiset's image from its prefixes in a
+    # loop; a recursion over the prefixes runs out of stack here
+    code, doc = run_cli(capsys, "normalize", "e_s^1100")
+    assert (code, doc) == (0, "*".join(["e_s"] * 1100))
+
+
 def test_normalize_json(capsys):
     code, doc = run_cli(capsys, "normalize", "Z(1,s)", "--json")
     assert code == 0
@@ -431,7 +438,10 @@ def test_subst_on_normalize(capsys):
     assert "-3*g1^2*G_s(e_r)" in doc
 
 
-@pytest.mark.parametrize("keys", [("A(1;P)", " A(1;P)"), (" A(1;P)", "A(1;P)")])
+@pytest.mark.parametrize(
+    "keys",
+    [("A(1;P)", " A(1;P)"), (" A(1;P)", "A(1;P)"), ("A(1;P)", "A(1;Z(1,s))")],
+)
 def test_subst_refuses_a_symbol_named_twice(capsys, keys):
     # the two keys parse to one symbol; neither value may silently win
     assignments = json.dumps(dict(zip(keys, ("3*g1^2", "g1^2"))))
@@ -439,7 +449,17 @@ def test_subst_refuses_a_symbol_named_twice(capsys, keys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "A(1;P)" in captured.err
+    assert "symbol A(1;P) is assigned twice" in captured.err
+
+
+def test_a_symbol_over_z1_is_the_sphere_symbol(capsys):
+    # Z(1,r) and Z(1,s) are both the sphere class P, so A(j;Z(1,V)) is
+    # another name for A(j;P), in assignments and in expressions alike
+    code, doc = run_cli(capsys, "subst", '{"A(1;Z(1,r))": "g1^2"}', "bar(G_s(Z(1,r)))")
+    assert (code, doc) == (0, "g1^2")
+    assert run_cli(capsys, "lambda", "sigma(A(1;Z(1,r)) - A(1;P))") == (0, "0")
+    code, doc = run_cli(capsys, "geometric", "sigma(A(1;Z(1,r)) - A(1;P))*e_r")
+    assert (code, doc) == (0, {"geometric": True})
 
 
 @pytest.mark.parametrize(

@@ -123,9 +123,10 @@ def outcome(lang, text):
 # recorded before the parsers shared one grammar skeleton; "term" was
 # re-recorded when the printer began to print prod(-1, -2) as "-(-2)"
 # instead of "--2", which turned one printed text from a parse error
-# into a parse
+# into a parse; "coeff" was re-recorded when A(j;Z(1,V)) began to parse
+# as A(j;P), which changed the 93 outcomes whose text names A(j;Z(1,r))
 PINNED = {
-    "coeff": "4427af6b64ba13522298e2b7c7c8dc3c745ed6434c9da13d892867c747352db1",
+    "coeff": "e0883b0627caf6c64f9dda688d9c007ef72717dc76d294b90ff82dda253a668b",
     "term": "f72083a81c685973aaaff225936d2d044267b56037dc0ea06e4f9315657e6ed2",
     "manifold": "dd86c7f5e927aaa383ffe704fe9e4259dd08ac3702e8c88f9cf50c9caca6782c",
 }

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfb.coeff import CoeffElement, aug_symbol, aug_symbol_key, cp
+from sfb.coeff import CoeffElement, aug_symbol, aug_symbol_key, cp, parse_coeff
 from sfb.phi import (
     PhiElement,
     ZElement,
@@ -86,6 +86,10 @@ def test_substitute_and_symbols():
     q = p.substitute({aug_symbol_key(1, "P"): 2 * cp(1) ** 2})
     assert not q.has_aug_symbols()
     assert q == PhiElement.euler("r", -1).scale(2 * cp(1) ** 2) + PhiElement.one()
+    # the ring orders the symbols: by degree, then by name, so A(10;P)
+    # comes before A(2;Z(9,r))
+    c = parse_coeff("A(10;P) + A(2;Z(9,r))")
+    assert PhiElement.const(c).aug_symbols() == c.aug_symbols()
 
 
 def test_str_forms():
