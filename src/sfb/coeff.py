@@ -210,7 +210,7 @@ class CoeffElement(Sparse):
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        return CoeffElement(out)
+        return CoeffElement._of(out)
 
     __radd__ = __add__
     __neg__ = Sparse.__neg__
@@ -240,11 +240,8 @@ class CoeffElement(Sparse):
                     out[mono] = s
                 else:
                     del out[mono]
-        # operand exponents are below 2^63, so no slot sum carries into the
-        # next slot, and one past 2^63 - 1 sets its slot's guard bit
-        if reduce(or_, out, 0) & _GUARD:
-            raise ValueError("exponent of a coefficient product is too large")
-        return CoeffElement(out)
+        check_exponents(out)
+        return CoeffElement._of(out)
 
     __rmul__ = __mul__
 
@@ -253,7 +250,7 @@ class CoeffElement(Sparse):
             return self
         if not n:
             return CoeffElement()
-        return CoeffElement({m: c * n for m, c in self.terms.items()})
+        return CoeffElement._of({m: c * n for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -344,6 +341,14 @@ def coerce(value) -> CoeffElement:
     if isinstance(value, int):
         return CoeffElement.integer(value)
     raise TypeError("cannot coerce %r into the coefficient ring" % (value,))
+
+
+def check_exponents(monos):
+    """Raise ValueError if a monomial that a product formed sets a guard
+    bit.  Operand exponents are below 2^63, so no slot sum carries into
+    the next slot, and one past 2^63 - 1 sets its slot's guard bit."""
+    if reduce(or_, monos, 0) & _GUARD:
+        raise ValueError("exponent of a coefficient product is too large")
 
 
 def _decode(mono: int) -> list:

@@ -325,6 +325,7 @@ class GammaEngine:
         self.step_budget = step_budget
         self._gamma_memo = {}
         self._mul_memo = {}
+        self._atom_memo = {}
         self._steps = 0
 
     # -- public entry points ---------------------------------------------
@@ -468,6 +469,13 @@ class GammaEngine:
         return nf
 
     def _mul_bm_atom(self, bm: tuple, atom: tuple) -> NormalForm:
+        # no rewrite step: a hit skips only calls that would hit the memos
+        hit = self._atom_memo.get((bm, atom))
+        if hit is None:
+            hit = self._atom_memo[bm, atom] = self._bm_times_atom(bm, atom)
+        return hit
+
+    def _bm_times_atom(self, bm: tuple, atom: tuple) -> NormalForm:
         i, j, x, m = bm
         if not x:
             return NormalForm.of(mk_plain([atom]))

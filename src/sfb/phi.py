@@ -23,10 +23,13 @@ from __future__ import annotations
 import warnings
 from math import prod
 
-from .coeff import CoeffElement, ONE, Sparse, check_flavor, coerce, signed_join, weighted
+from .coeff import (
+    CoeffElement, ONE, Sparse, check_exponents, check_flavor, coerce, signed_join, weighted,
+)
 
 
 Flavor = str  # 'r' or 's'
+_UNIT_TERMS = ONE.terms
 
 
 def mono(a: int, b: int, xs=()) -> tuple:
@@ -67,9 +70,9 @@ class Combination(Sparse):
     localized images and the normal forms.
 
     Subclasses name their key degree in ``_key_degree``.  ``total`` is
-    the one builder of a linear combination: it accumulates in place
-    through ``add_scaled``, the only method that changes an instance.
-    Every other operation returns a new one.
+    the one accumulation kernel: sums, scalings, the Laurent product and
+    ``add_scaled``, the only method that changes an instance, go through
+    it.  Every other operation returns a new instance.
     """
 
     __slots__ = ()
@@ -83,40 +86,75 @@ class Combination(Sparse):
 
     def add_scaled(self, other, c):
         """self += c * other, in place; c is a CoeffElement or an int."""
-        unit = (c if isinstance(c, int) else c.as_int()) == 1
-        acc = self.terms
-        for k, v in other.terms.items():
-            if not unit:
-                v = c * v
-            s = acc.get(k)
-            if s is not None:
-                v = s + v
-            if v.terms:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
+        self.terms = self.total(((self, 1), (other, c))).terms
 
     @classmethod
     def total(cls, pairs):
-        """The sum of c * x over the (x, c) pairs, accumulated in place."""
-        out = cls()
+        """The sum of c * x over the (x, c) pairs, c a CoeffElement or an
+        int.  Each key's coefficient is summed as a raw {packed monomial:
+        int} dict and wrapped once.  Where c * v is v itself (c = 1) or c
+        itself (v = 1), the key shares that CoeffElement until a second
+        contribution reaches it.  Where c or v is another constant, it
+        scales the other side's values and keeps its monomials: only a
+        product of two polynomials forms monomials, and those pass the
+        ring's exponent guard."""
+        acc = {}  # key -> a shared CoeffElement, or a raw dict
+        raw = []  # the keys whose value is a raw dict
+        formed = False
         for x, c in pairs:
-            out.add_scaled(x, c)
-        return out
+            n = c if isinstance(c, int) else c.as_int()
+            if n == 0:
+                continue
+            for k, v in x.terms.items():
+                s = acc.get(k)
+                if s is None:
+                    if n == 1:
+                        acc[k] = v
+                        continue
+                    if n is None and v.terms == _UNIT_TERMS:
+                        acc[k] = c
+                        continue
+                    s = acc[k] = {}
+                    raw.append(k)
+                elif type(s) is not dict:
+                    s = acc[k] = dict(s.terms)
+                    raw.append(k)
+                vt = v.terms
+                if n is not None:
+                    for m, a in vt.items():
+                        s[m] = s.get(m, 0) + n * a
+                elif len(vt) == 1 and 0 in vt:
+                    b = vt[0]
+                    for m, a in c.terms.items():
+                        s[m] = s.get(m, 0) + a * b
+                else:
+                    formed = True
+                    for m1, a in c.terms.items():
+                        for m2, b in vt.items():
+                            m = m1 + m2
+                            s[m] = s.get(m, 0) + a * b
+        # zero sums stay in the raw dicts until here, so every monomial a
+        # product formed is checked, cancelled or not
+        for k in raw:
+            s = acc[k]
+            if formed:
+                check_exponents(s)
+            if 0 in s.values():
+                s = {m: a for m, a in s.items() if a}
+            if s:
+                acc[k] = CoeffElement._of(s)
+            else:
+                del acc[k]
+        return cls._of(acc)
 
     def __add__(self, other):
-        out = type(self)(self.terms)
-        out.add_scaled(other, 1)
-        return out
+        return self.total(((self, 1), (other, 1)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        c = coerce(c)
-        if c.is_zero():
-            return type(self)()
-        return type(self)({k: c * v for k, v in self.terms.items()})
+        return self.total(((self, coerce(c)),))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -191,7 +229,8 @@ class PhiElement(Combination):
         factor c0*m0 relabels the other factor: m -> m*m0 is injective
         and Z[g, A] has no zero divisors, so nothing collides or
         vanishes.  Two factors with constant coefficients multiply as
-        ints.  Only the rest multiplies CoeffElements pair by pair."""
+        ints.  Otherwise the product is the sum, over the terms c*m of the
+        shorter factor, of c times the longer one relabeled by m."""
         a, b = self.terms, other.terms
         if len(a) == 1:
             a, b = b, a
@@ -211,19 +250,12 @@ class PhiElement(Combination):
                     m = (a1 + a2, b1 + b2, xs)
                     sums[m] = sums.get(m, 0) + n1 * n2
             return self._of({m: CoeffElement.integer(n) for m, n in sums.items() if n})
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                v = c1 * c2
-                s = out.get(m)
-                if s is not None:
-                    v = s + v
-                if v.terms:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return self._of(out)
+        if len(a) < len(b):
+            a, b = b, a
+        return self.total(
+            (self._of({mono_mul(m1, m2): c1 for m1, c1 in a.items()}), c2)
+            for m2, c2 in b.items()
+        )
 
     def homogeneous_component(self, d: int) -> "PhiElement":
         if d % 2:

@@ -343,10 +343,11 @@ def ref_as_int(a):
     return None
 
 
+# four distinct bases: Z(1,V) would name the P keys again
 ORACLE_KEYS = [("g", n) for n in range(1, 7)] + [
     aug_symbol_key(j, base)
     for j in (1, 2, 3)
-    for base in ("P", "Z(1,r)", "Z(2,s)", "Z(3,r)")
+    for base in ("P", "Z(2,s)", "Z(3,r)", "Z(4,s)")
 ]
 
 
