@@ -153,9 +153,6 @@ class Sparse:
 
     # --- grading --------------------------------------------------------
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self):
         """The common degree, None for 0; inhomogeneous input is an error."""
         ds = self.degrees()

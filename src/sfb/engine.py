@@ -43,7 +43,6 @@ from .phi import (
     Combination,
     PhiElement,
     euler_mono,
-    leading_term,
     mono_json,
     neg_lex_key,
     to_z_basis,
@@ -615,10 +614,10 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
 def _leading(image, tag: str, key):
     """(tagged leading monomial, coefficient) of a certify image under the
     monomial order `key`, or None."""
-    lead = leading_term(image, key)
-    if lead is None:
+    if not image.terms:
         return None
-    return (tag, lead[0]), lead[1]
+    m = max(image.terms, key=key)
+    return (tag, m), image.terms[m]
 
 
 def certify_basis(

@@ -20,7 +20,6 @@ presentations share with the engine's normal forms.
 
 from __future__ import annotations
 
-import warnings
 from math import prod
 
 from .coeff import (
@@ -70,9 +69,8 @@ class Combination(Sparse):
     localized images and the normal forms.
 
     Subclasses name their key degree in ``_key_degree``.  ``total`` is
-    the one accumulation kernel: sums, scalings, the Laurent product and
-    ``add_scaled``, the only method that changes an instance, go through
-    it.  Every other operation returns a new instance.
+    the one accumulation kernel: sums, scalings and the Laurent product
+    go through it.
     """
 
     __slots__ = ()
@@ -83,10 +81,6 @@ class Combination(Sparse):
             for k, c in dict(terms).items():
                 if c.terms:
                     self.terms[k] = c
-
-    def add_scaled(self, other, c):
-        """self += c * other, in place; c is a CoeffElement or an int."""
-        self.terms = self.total(((self, 1), (other, c))).terms
 
     @classmethod
     def total(cls, pairs):
@@ -257,22 +251,7 @@ class PhiElement(Combination):
             for m2, c2 in b.items()
         )
 
-    def homogeneous_component(self, d: int) -> "PhiElement":
-        if d % 2:
-            warnings.warn("odd-degree component requested; the ring is even")
-            return PhiElement()
-        out = {}
-        for m, c in self.terms.items():
-            part = c.homogeneous_component(d - mono_degree(m))
-            if not part.is_zero():
-                out[m] = part
-        return PhiElement(out)
-
     # --- geometric subring ---------------------------------------------
-
-    def is_in_F(self) -> bool:
-        """No positive Euler-class exponent in any monomial."""
-        return all(a <= 0 and b <= 0 for a, b, _ in self.terms)
 
     def project_C(self) -> "PhiElement":
         """The component outside F: monomials with a > 0 or b > 0."""
@@ -368,7 +347,7 @@ class ZElement(Combination):
 
     Monomials are (a, b, zs) with zs a sorted tuple of (n, flavor),
     n >= 2.  The product and the text are PhiElement's; the X-only views
-    (F membership, homogeneous parts, JSON) are not offered.
+    (the F projection, JSON) are not offered.
     """
 
     __slots__ = ()
@@ -381,25 +360,26 @@ class ZElement(Combination):
         return -2 * m[0] - 2 * m[1] + sum(2 * n for n, _ in m[2])
 
 
+def _map_generators(p, ring, image):
+    """p under the ring map into `ring` that fixes e_r, e_s and the
+    coefficients and sends each generator (n, V) to image(n, V)."""
+    return ring.total(
+        (prod((image(n, fl) for n, fl in gens), start=ring({(a, b, ()): ONE})), c)
+        for (a, b, gens), c in p.terms.items()
+    )
+
+
 def to_z_basis(p: PhiElement) -> ZElement:
     """Rewrite X(n,V) as Z(n+1,V) - e_V^-(n+1); Euler classes unchanged."""
-    def x_image(n, flavor):
-        pole = euler_mono(flavor, -(n + 1))
-        return ZElement({(0, 0, ((n + 1, flavor),)): ONE, pole: -ONE})
-
-    return ZElement.total(
-        (prod((x_image(n, fl) for n, fl in xs), start=ZElement({(a, b, ()): ONE})), c)
-        for (a, b, xs), c in p.terms.items()
-    )
+    return _map_generators(p, ZElement, lambda n, fl: ZElement(
+        {(0, 0, ((n + 1, fl),)): ONE, euler_mono(fl, -(n + 1)): -ONE}
+    ))
 
 
 def from_z_basis(z: ZElement) -> PhiElement:
     """Rewrite Z(n,V) as X(n-1,V) + e_V^-n, which is z_gen(n, V); inverse
     of to_z_basis."""
-    return PhiElement.total(
-        (prod((z_gen(n, fl) for n, fl in zs), start=PhiElement({(a, b, ()): ONE})), c)
-        for (a, b, zs), c in z.terms.items()
-    )
+    return _map_generators(z, PhiElement, z_gen)
 
 
 # --- monomial orders for leading-term certification -------------------------
@@ -423,11 +403,3 @@ def neg_lex_key(xmono: tuple):
     """Lexicographic (-a, -b, xs) on the X-presentation monomials."""
     a, b, xs = xmono
     return (-a, -b, xs)
-
-
-def leading_term(element, key_func):
-    """(monomial, coefficient) with the largest monomial, or None."""
-    if not element.terms:
-        return None
-    m = max(element.terms, key=key_func)
-    return m, element.terms[m]

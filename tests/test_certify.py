@@ -143,6 +143,13 @@ PINNED = [
       "--order", "neg_lex"),
      1, "7d742c89814efd3c1e02e1c9d191c8b663a541fc0fcaf3e469e1f7dabc71ae79"),
 ] + [
+    # z_maxnorm compares Z-degree first, and the pole convention fixes the
+    # top Z-degree part of every image, so both conventions print this
+    (("--z-convention", convention, "certify", "--variant", "omega",
+      "--degree", "16", "--truncation", "6"),
+     1, "9c03a3f7ec1f98f3420aa44fe4362f3996137eb406306f2389f2fce8c187060e")
+    for convention in ("same", "mixed")
+] + [
     (("--z-convention", convention, "certify", "--variant", variant,
       "--degree", "12", "--truncation", "6"), code, digest)
     for convention in ("same", "mixed")

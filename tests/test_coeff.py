@@ -78,7 +78,8 @@ def test_grading():
     assert aug_symbol(2, "P").degree() == 2 * 2 + 2
     assert aug_symbol(1, "Z(3,s)").degree() == 2 + 6
     mixed = cp(1) + cp(2)
-    assert not mixed.is_homogeneous()
+    with pytest.raises(ValueError):
+        mixed.degree()
     assert mixed.degrees() == {2, 4}
     assert mixed.homogeneous_component(2) == cp(1)
     assert mixed.homogeneous_component(4) == cp(2)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfb.coeff import CoeffElement, aug_symbol, aug_symbol_key, cp, parse_coeff
+from sfb.engine import _leading
 from sfb.phi import (
     PhiElement,
     ZElement,
     from_z_basis,
-    leading_term,
     mono,
     neg_lex_key,
     to_z_basis,
@@ -44,27 +44,16 @@ def test_arithmetic():
     assert er.scale(cp(1)) == PhiElement.const(cp(1)) * er
 
 
-def test_homogeneous_component():
-    p = PhiElement.euler("r", -1) + PhiElement.euler("s", -2)
-    assert p.homogeneous_component(2) == PhiElement.euler("r", -1)
-    assert p.homogeneous_component(4) == PhiElement.euler("s", -2)
-    assert p.homogeneous_component(6).is_zero()
-    assert not p.is_homogeneous()
-    with pytest.warns(UserWarning):
-        p.homogeneous_component(3)
-
-
 def test_f_membership_and_projection():
     inside = PhiElement.euler("r", -2) * PhiElement.x_gen(1, "s")
     outside = PhiElement.euler("r", 1)
-    assert inside.is_in_F()
-    assert not outside.is_in_F()
-    both = inside + outside
-    assert not both.is_in_F()
-    assert both.project_C() == outside
     assert inside.project_C().is_zero()
+    assert not outside.project_C().is_zero()
+    both = inside + outside
+    assert not both.project_C().is_zero()
+    assert both.project_C() == outside
     # constants live inside
-    assert PhiElement.const(cp(2)).is_in_F()
+    assert PhiElement.const(cp(2)).project_C().is_zero()
 
 
 def test_z_gen_conventions():
@@ -216,7 +205,7 @@ def test_z_presentation_text_is_pinned():
     assert repr(to_z_basis(z_gen(2, "s"))) == "ZElement(Z(2,s))"
     # Z(n,V) has degree 2n, X(n,V) degree 2n + 2
     assert z.degrees() == p.degrees() == {-4, 6, 10, 14}
-    assert not hasattr(z, "is_in_F") and not hasattr(z, "to_json")
+    assert not hasattr(z, "to_json")
 
 
 def test_z_presentation_of_generators():
@@ -234,11 +223,11 @@ def test_z_presentation_of_generators():
 
 def test_leading_term_orders():
     p = z_gen(2, "r")  # X(1,r) + e_r^-2
-    lead_mono, lead_coeff = leading_term(p, neg_lex_key)
-    assert lead_coeff == 1
+    (tag, lead_mono), lead_coeff = _leading(p, "x", neg_lex_key)
+    assert tag == "x" and lead_coeff == 1
     # deeper poles dominate under the (-a, -b, xs) order
     assert lead_mono == mono(-2, 0, ())
     z = to_z_basis(p)
     zlead = max(z.terms, key=z_maxnorm_key)
     assert z.terms[zlead] == 1
-    assert leading_term(PhiElement.zero(), neg_lex_key) is None
+    assert _leading(PhiElement.zero(), "x", neg_lex_key) is None

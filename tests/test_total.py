@@ -103,12 +103,7 @@ def test_total_matches_per_term_loop(cls, data):
     # the kernel shares coefficients, but never changes an input
     assert [(x.terms, c) for x, c in pairs] == before
     if pairs:
-        (x, c), (y, d) = pairs[0], pairs[-1]
-        acc = cls(x.terms)
-        acc.add_scaled(y, d)
-        ref = cls(x.terms)
-        _reference_add_scaled(ref, y, d)
-        assert acc == ref and _stored_nonzero(acc)
+        (x, c), (y, _) = pairs[0], pairs[-1]
         for got, want in (
             (x + y, _reference_total(cls, [(x, 1), (y, 1)])),
             (x - y, _reference_total(cls, [(x, 1), (y, -1)])),
