@@ -69,10 +69,12 @@ class AugEnv:
         if tag == "gamma":
             if t[1] == "s":
                 return self.aug_power(j + 1, t[2])
-            tail = (p_coeff(k) * self.aug_power(j - k, t[2]) for k in range(j))
-            return sum(tail, -self.aug_power(j + 1, t[2]))
+            y = t[2]
+            pairs = [(self.aug_power(j + 1, y), -1)]
+            pairs += ((self.aug_power(j - k, y), p_coeff(k)) for k in range(j))
+            return CoeffElement.total(pairs)
         if tag == "sum":
-            return sum((self.aug_power(j, s) for s in t[1]), ZERO)
+            return CoeffElement.total((self.aug_power(j, s), 1) for s in t[1])
         if tag == "prod":
             if not t[1]:
                 return ONE if j == 0 else ZERO
@@ -82,9 +84,9 @@ class AugEnv:
             h = len(t[1]) // 2
             w, z = t_prod(*t[1][:h]), t_prod(*t[1][h:])
             # a zero left factor skips its right factor's tower
-            terms = (left * self.aug_power(j - k, z)
-                     for k in range(j + 1) if (left := self.aug_power(k, w)))
-            return sum(terms, ZERO)
+            return CoeffElement.total(
+                (self.aug_power(j - k, z), left)
+                for k in range(j + 1) if (left := self.aug_power(k, w)))
         raise ValueError("unknown term tag %r" % (tag,))
 
     def _aug_euler_tower(self, j: int, flavor: str) -> CoeffElement:
@@ -98,6 +100,7 @@ class AugEnv:
         e_r = ("euler", "r")
         for n in range(1, j + 1):
             if (n, e_r) not in memo:
+                # ring operators, not the kernel: each height is filled once per process
                 terms = (p_coeff(k) * memo[(n - 1 - k, e_r)] for k in range(n - 1))
                 memo[(n, e_r)] = sum(terms, -ONE if n == 1 else ZERO)
         return memo[(j, e_r)]

@@ -199,15 +199,7 @@ class CoeffElement(Sparse):
     # this class's own namespace, so the inherited ones are bound here)
 
     def __add__(self, other):
-        other = coerce(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return CoeffElement._of(out)
+        return CoeffElement.total(((self, 1), (coerce(other), 1)))
 
     __radd__ = __add__
     __neg__ = Sparse.__neg__
@@ -248,6 +240,36 @@ class CoeffElement(Sparse):
         if not n:
             return CoeffElement()
         return CoeffElement._of({m: c * n for m, c in self.terms.items()})
+
+    @staticmethod
+    def total(pairs) -> "CoeffElement":
+        """The sum of c * v over the (v, c) pairs, c a CoeffElement or an
+        int, in one raw {packed monomial: int} dict.  A constant c or v
+        scales the other side and forms no monomial; every monomial a
+        product forms meets the exponent guard, cancelled or not."""
+        acc = {}
+        formed = False
+        for v, c in pairs:
+            n = c if isinstance(c, int) else c.as_int()
+            if n == 0:
+                continue
+            vt = v.terms
+            if n is None and len(vt) == 1 and 0 in vt:
+                n, vt = vt[0], c.terms
+            if n is not None:
+                for m, a in vt.items():
+                    acc[m] = acc.get(m, 0) + n * a
+            else:
+                formed = True
+                for m1, a in c.terms.items():
+                    for m2, b in vt.items():
+                        m = m1 + m2
+                        acc[m] = acc.get(m, 0) + a * b
+        if formed:
+            check_exponents(acc)
+        if 0 in acc.values():
+            acc = {m: a for m, a in acc.items() if a}
+        return CoeffElement._of(acc)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -312,10 +334,9 @@ class CoeffElement(Sparse):
                 return stored[key] ** exp
             return CoeffElement({_power(key, exp): 1})
 
-        return sum(
-            (reduce(mul, (factor(*f) for f in _decode(m)), CoeffElement.integer(c))
-             for m, c in self.terms.items()),
-            ZERO,
+        return CoeffElement.total(
+            (reduce(mul, (factor(*f) for f in _decode(m)), ONE), c)
+            for m, c in self.terms.items()
         )
 
     # --- rendering ------------------------------------------------------
@@ -576,7 +597,7 @@ def parse_coeff(text: str) -> CoeffElement:
 
 
 def _parse_coeff_sum(sc: _Scanner) -> CoeffElement:
-    return sum((s * p for s, p in sc.signed(_parse_coeff_product)), ZERO)
+    return CoeffElement.total((p, s) for s, p in sc.signed(_parse_coeff_product))
 
 
 def _parse_coeff_product(sc: _Scanner) -> CoeffElement:

@@ -38,7 +38,7 @@ import random
 from functools import cache, reduce
 from math import prod
 
-from .coeff import FLAVORS, CoeffElement, ONE, ZERO, aug_symbol_name, coerce, cp
+from .coeff import FLAVORS, CoeffElement, ONE, aug_symbol_name, coerce, cp
 from .phi import (
     Combination,
     PhiElement,
@@ -217,7 +217,9 @@ class NormalForm(Combination):
         return PhiElement.total((image(bm), c) for bm, c in self.terms.items())
 
     def aug(self) -> CoeffElement:
-        return sum((c * AUG.aug(bm_term(bm)) for bm, c in self.terms.items()), ZERO)
+        return CoeffElement.total(
+            (AUG.aug(bm_term(bm)), c) for bm, c in self.terms.items()
+        )
 
 
 # --- localized evaluation ---------------------------------------------------
@@ -355,7 +357,7 @@ class GammaEngine:
         if tag in ("euler", "zgen"):
             return NormalForm.of(mk_plain([t]))
         if tag == "gamma":
-            return self.nf_gamma_elem(t[1], self._eval(t[2]))
+            return NormalForm.total(self._gamma_pairs(t[1], self._eval(t[2])))
         if tag == "bar":
             return NormalForm.unit(AUG.aug(t[1]))
         if tag == "sum":
@@ -366,10 +368,9 @@ class GammaEngine:
 
     # -- bilinear layers ----------------------------------------------------
 
-    def nf_gamma_elem(self, flavor: str, nf: NormalForm) -> NormalForm:
-        return NormalForm.total(
-            (self.nf_gamma(flavor, bm), c) for bm, c in nf.terms.items()
-        )
+    def _gamma_pairs(self, flavor: str, nf: NormalForm) -> list:
+        """[(G_V(bm), c)] over the terms of nf, for NormalForm.total."""
+        return [(self.nf_gamma(flavor, bm), c) for bm, c in nf.terms.items()]
 
     def nf_product(self, a: NormalForm, b: NormalForm) -> NormalForm:
         return NormalForm.total(
@@ -410,30 +411,29 @@ class GammaEngine:
         if m:
             # G_V(u y) = G_V(u) y + bar(u) G_V(y), u the bare head
             head, y = (i, j, x, ()), mk_plain(m)
-            out = self.nf_product(self.nf_gamma(flavor, head), NormalForm.of(y))
+            g_head = self.nf_gamma(flavor, head).terms
+            pairs = [(self.nf_mul(b, y), c) for b, c in g_head.items()]
             a = AUG.aug(bm_term(head))
-            if not a.is_zero():
-                out = out + self.nf_gamma(flavor, y).scale(a)
-            return out
+            if a:
+                pairs.append((self.nf_gamma(flavor, y), a))
+            return NormalForm.total(pairs)
         if flavor == "r":
             if not word and x[0] == "zgen":
                 # r-flavor on a Z-generator: route through the sphere class,
                 # G_r(y) = P*(y - bar y) - G_s(y)
-                return (
-                    NormalForm.of((1, 1, E_R, (x,)))
-                    + NormalForm.of(P_BM, -AUG.aug(x))
-                    + NormalForm.of((0, 1, x, ()), -ONE)
+                return NormalForm(
+                    {(1, 1, E_R, (x,)): ONE, P_BM: -AUG.aug(x), (0, 1, x, ()): -ONE}
                 )
             return NormalForm.of((i + 1, j, x, ()))
         if i == 0:
             return NormalForm.of((0, j + 1, x, ()))
         # s after r: commute with the sphere-class correction
         _, inner = _outer(bm)
-        out = self.nf_gamma_elem("r", self.nf_gamma("s", inner))
+        pairs = self._gamma_pairs("r", self.nf_gamma("s", inner))
         c = AUG.aug_power(1, bm_term(inner))
-        if not c.is_zero():
-            out = out + NormalForm.of(P_BM, c)
-        return out
+        if c:
+            pairs.append((NormalForm.of(P_BM), c))
+        return NormalForm.total(pairs)
 
     # -- products of monomials --------------------------------------------
 
@@ -498,11 +498,11 @@ class GammaEngine:
         """Peel the outer operator of a bare word off a product:
         G_V(u)*w = G_V(u*w) - bar(u)*G_V(w)."""
         flavor, inner = _outer(word)
-        out = self.nf_gamma_elem(flavor, self.nf_mul(inner, other))
+        pairs = self._gamma_pairs(flavor, self.nf_mul(inner, other))
         a = AUG.aug(bm_term(inner))
-        if not a.is_zero():
-            out = out - self.nf_gamma(flavor, other).scale(a)
-        return out
+        if a:
+            pairs.append((self.nf_gamma(flavor, other), -a))
+        return NormalForm.total(pairs)
 
 
 # --- basis enumeration and certification ------------------------------------

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 from sfb.aug import AugEnv, p_coeff
 from sfb.coeff import CoeffElement, aug_symbol, cp
-from sfb.engine import random_term
+from sfb.engine import bm_term, enumerate_basis, random_term
 from sfb.terms import (
     t_bar,
     t_coeff,
@@ -176,3 +177,35 @@ def test_deep_euler_towers_are_memoized():
     assert env.aug_power(60, t_euler("s")) == 0
     assert env.aug(g_s(t_euler("s"), 60)) == 0
     assert env.aug_power(1, t_euler("s")) == 1
+
+
+# sha256 of the newline-joined str(aug_power(j, t)) over the corpus below,
+# recorded with the pairwise recurrences that the coefficient kernel
+# replaced; the text is independent of the hash seed
+PINNED_AUG_POWERS = {
+    0: "626bd11744896d417dd29f5161e157732df800ef108fa9b94c864c8007b42fc0",
+    1: "9f196128ae7bc7ad4c6078b9b998dce3034e30e69ea9aee355dbbd3e8e652e80",
+    2: "704eaf82c6fce50a0d0692d8a1bc49accbdde1ff0b528f12410f21720c511ae4",
+    3: "a945b56d66dd0984146a6fef557c4607dfb94126ed68966f3c0b639160bcd72c",
+}
+
+
+def _aug_corpus():
+    """Every basis word of degree <= 12, seeded random terms, products of
+    those with a polynomial coefficient, and sums that cancel."""
+    terms = [bm_term(bm) for bm in enumerate_basis(12, "musf-work", 4)]
+    rng = random.Random(23)
+    terms += [random_term(rng, depth=5, max_z=4) for _ in range(200)]
+    a = t_coeff(aug_symbol(1, "P") - 2 * cp(1))
+    terms += [t_gamma("r", t_prod(a, t)) for t in terms[-40:]]
+    terms += [t_sum(t, t_prod(t_int(-1), t)) for t in terms[-20:]]
+    return terms
+
+
+def test_pinned_aug_powers():
+    terms = _aug_corpus()
+    assert len(terms) == 2466
+    for j, digest in PINNED_AUG_POWERS.items():
+        env = AugEnv()
+        text = "\n".join(str(env.aug_power(j, t)) for t in terms)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, j

@@ -782,3 +782,42 @@ def test_bench_tracer_binds_every_entry():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "installed\n"
+
+
+# a few requests per workload that, between them, reach every entry point
+# bench/layers.py's EXPECT predicts for that workload
+TRACED_ARGVS = {
+    "normalize": [
+        ["normalize", "G_r(G_s(Z(2,r)*Z(3,s)))^2"],
+        ["--z-convention", "mixed", "normalize",
+         "G_s(G_r(G_s(e_r*Z(2,s)))) + G_r(Z(3,r))"],
+    ],
+    "certify": [
+        ["certify", "--variant", "musf", "--degree", "4", "--truncation", "4"],
+        ["--z-convention", "mixed", "certify", "--variant", "omega", "--degree", "8",
+         "--truncation", "4", "--order", "neg_lex"],
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_ARGVS))
+def test_bench_tracer_predictions_hold(workload):
+    # every name EXPECT says fires does, and no idle prefix fires: an
+    # operator that a rewrite leaves unused shows here, not only in the
+    # bench step
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import sfb.cli, layers\n"
+        "tracer = layers.install()\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        sfb.cli.main(argv)\n"
+        "print(json.dumps(layers.self_check(sys.argv[1], tracer.summary()['fired'])))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, workload, json.dumps(TRACED_ARGVS[workload])],
+        capture_output=True, text=True, timeout=120,
+        cwd=PYPROJECT.parent / "bench", env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []

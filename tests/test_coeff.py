@@ -426,6 +426,69 @@ def test_packed_ring_matches_tuple_oracle():
         )
 
 
+# --- CoeffElement.total against the pairwise sum it replaced --------------
+
+_KERNEL_RNG = random.Random(23)
+# (packed, reference) pairs: constants, zero, and random polynomials
+KERNEL_VALUES = [
+    (CoeffElement.integer(n), {(): n} if n else {}) for n in (0, 1, -1, 3)
+] + [_random_element(_KERNEL_RNG, ORACLE_KEYS) for _ in range(12)]
+kernel_values = st.sampled_from(KERNEL_VALUES)
+# every kind of scalar: 0, the units and other ints, constants, polynomials
+kernel_scalars = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -7]).map(lambda n: (n, {(): n} if n else {})),
+    kernel_values,
+)
+
+
+def _ref_pairwise(pairs):
+    """sum(c * v) over the pairs, one ring operation at a time."""
+    out = {}
+    for (_, rv), (_, rc) in pairs:
+        out = ref_add(out, ref_mul(rc, rv))
+    return out
+
+
+def _negated(scalar):
+    c, rc = scalar
+    return -c, ref_neg(rc)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_total_matches_pairwise_sum(data):
+    pairs = data.draw(st.lists(st.tuples(kernel_values, kernel_scalars), max_size=6))
+    # repeat drawn pairs negated, so their contributions cancel
+    for k in data.draw(st.lists(st.integers(0, max(len(pairs) - 1, 0)), max_size=3)):
+        if pairs:
+            v, c = pairs[k]
+            pairs.append((v, _negated(c)))
+    packed = [(v, c) for (v, _), (c, _) in pairs]
+    before = [(dict(v.terms), c if isinstance(c, int) else dict(c.terms))
+              for v, c in packed]
+    out = CoeffElement.total(packed)
+    assert type(out) is CoeffElement
+    assert _agrees(out, _ref_pairwise(pairs))
+    assert out == sum((c * v for v, c in packed), CoeffElement.zero())
+    assert all(out.terms.values())
+    assert [(v.terms, c if isinstance(c, int) else c.terms) for v, c in packed] == before
+
+
+@pytest.mark.parametrize("cancel", [False, True], ids=["kept", "cancelled"])
+def test_total_product_past_exponent_range_raises(cancel):
+    # g1^(2^62) * g1^(2^62) = g1^(2^63): one past 2^63 - 1 in its slot
+    big = cp(1) ** (1 << 62)
+    pairs = [(big + 1, big)] + ([(big + 1, -big)] if cancel else [])
+    with pytest.raises(ValueError, match="exponent of a coefficient product is too large"):
+        CoeffElement.total(pairs)
+    with pytest.raises(ValueError, match="too large"):
+        big * big
+    # a constant on either side scales and forms nothing; one short is fine
+    assert CoeffElement.total([(big, 3), (CoeffElement.integer(2), big)]) == 5 * big
+    short = cp(1) ** ((1 << 62) - 1)
+    assert CoeffElement.total([(big, short)]) == big * short
+
+
 def _raised(call):
     """(exception type name, message) of call(), or None if it returns."""
     try:
