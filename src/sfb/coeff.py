@@ -127,7 +127,7 @@ class Sparse:
         return out
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._of({k: -c for k, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -176,7 +176,7 @@ class CoeffElement(Sparse):
     __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+        self.terms = {m: c for m, c in dict(terms).items() if c} if terms else {}
 
     # --- constructors -------------------------------------------------
 
@@ -212,64 +212,21 @@ class CoeffElement(Sparse):
         return coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._times_int(other)
-        other = coerce(other)
-        a, b = self.terms, other.terms
-        if len(b) == 1 and 0 in b:
-            return self._times_int(b[0])
-        if len(a) == 1 and 0 in a:
-            return other._times_int(a[0])
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = m1 + m2
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        check_exponents(out)
-        return CoeffElement._of(out)
+        return CoeffElement.total(((self, coerce(other)),))
 
     __rmul__ = __mul__
-
-    def _times_int(self, n: int) -> "CoeffElement":
-        if n == 1:
-            return self
-        if not n:
-            return CoeffElement()
-        return CoeffElement._of({m: c * n for m, c in self.terms.items()})
 
     @staticmethod
     def total(pairs) -> "CoeffElement":
         """The sum of c * v over the (v, c) pairs, c a CoeffElement or an
-        int, in one raw {packed monomial: int} dict.  A constant c or v
-        scales the other side and forms no monomial; every monomial a
-        product forms meets the exponent guard, cancelled or not."""
+        int: one ``_add_product`` step per pair into one raw dict."""
         acc = {}
         formed = False
         for v, c in pairs:
             n = c if isinstance(c, int) else c.as_int()
-            if n == 0:
-                continue
-            vt = v.terms
-            if n is None and len(vt) == 1 and 0 in vt:
-                n, vt = vt[0], c.terms
-            if n is not None:
-                for m, a in vt.items():
-                    acc[m] = acc.get(m, 0) + n * a
-            else:
-                formed = True
-                for m1, a in c.terms.items():
-                    for m2, b in vt.items():
-                        m = m1 + m2
-                        acc[m] = acc.get(m, 0) + a * b
-        if formed:
-            check_exponents(acc)
-        if 0 in acc.values():
-            acc = {m: a for m, a in acc.items() if a}
-        return CoeffElement._of(acc)
+            if n != 0:
+                formed |= _add_product(acc, v.terms, c, n)
+        return _wrap(acc, formed)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -367,6 +324,35 @@ def check_exponents(monos):
     the next slot, and one past 2^63 - 1 sets its slot's guard bit."""
     if reduce(or_, monos, 0) & _GUARD:
         raise ValueError("exponent of a coefficient product is too large")
+
+
+def _add_product(acc: dict, vt: dict, c, n) -> bool:
+    """Add c * v into the raw {packed monomial: int} dict acc, the one
+    multiply-accumulate step of the ring.  vt is v's terms; n is c's int
+    value, or None.  A constant on either side scales the other side's
+    values and forms no monomial.  True if the step formed monomials."""
+    if n is None and len(vt) == 1 and 0 in vt:
+        n, vt = vt[0], c.terms
+    if n is not None:
+        for m, a in vt.items():
+            acc[m] = acc.get(m, 0) + n * a
+        return False
+    for m1, a in c.terms.items():
+        for m2, b in vt.items():
+            m = m1 + m2
+            acc[m] = acc.get(m, 0) + a * b
+    return True
+
+
+def _wrap(acc: dict, formed: bool) -> "CoeffElement":
+    """The CoeffElement of a raw dict that ``_add_product`` filled.  Zero
+    sums stay in acc until here, so every monomial a product formed meets
+    the exponent guard, cancelled or not."""
+    if formed:
+        check_exponents(acc)
+    if 0 in acc.values():
+        acc = {m: a for m, a in acc.items() if a}
+    return CoeffElement._of(acc)
 
 
 def _decode(mono: int) -> list:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import prod
 
 from .coeff import (
-    CoeffElement, ONE, Sparse, check_exponents, check_flavor, coerce, signed_join, weighted,
+    CoeffElement, ONE, Sparse, _add_product, _wrap, check_flavor, coerce, signed_join, weighted,
 )
 
 
@@ -85,13 +85,11 @@ class Combination(Sparse):
     @classmethod
     def total(cls, pairs):
         """The sum of c * x over the (x, c) pairs, c a CoeffElement or an
-        int.  Each key's coefficient is summed as a raw {packed monomial:
-        int} dict and wrapped once.  Where c * v is v itself (c = 1) or c
-        itself (v = 1), the key shares that CoeffElement until a second
-        contribution reaches it.  Where c or v is another constant, it
-        scales the other side's values and keeps its monomials: only a
-        product of two polynomials forms monomials, and those pass the
-        ring's exponent guard."""
+        int.  Each key's coefficient is summed by the ring's one
+        multiply-accumulate step, ``_add_product``, into a raw {packed
+        monomial: int} dict and wrapped once.  Where c * v is v itself
+        (c = 1) or c itself (v = 1), the key shares that CoeffElement
+        until a second contribution reaches it."""
         acc = {}  # key -> a shared CoeffElement, or a raw dict
         raw = []  # the keys whose value is a raw dict
         formed = False
@@ -113,30 +111,11 @@ class Combination(Sparse):
                 elif type(s) is not dict:
                     s = acc[k] = dict(s.terms)
                     raw.append(k)
-                vt = v.terms
-                if n is not None:
-                    for m, a in vt.items():
-                        s[m] = s.get(m, 0) + n * a
-                elif len(vt) == 1 and 0 in vt:
-                    b = vt[0]
-                    for m, a in c.terms.items():
-                        s[m] = s.get(m, 0) + a * b
-                else:
-                    formed = True
-                    for m1, a in c.terms.items():
-                        for m2, b in vt.items():
-                            m = m1 + m2
-                            s[m] = s.get(m, 0) + a * b
-        # zero sums stay in the raw dicts until here, so every monomial a
-        # product formed is checked, cancelled or not
+                formed |= _add_product(s, v.terms, c, n)
         for k in raw:
-            s = acc[k]
-            if formed:
-                check_exponents(s)
-            if 0 in s.values():
-                s = {m: a for m, a in s.items() if a}
-            if s:
-                acc[k] = CoeffElement._of(s)
+            s = _wrap(acc[k], formed)
+            if s.terms:
+                acc[k] = s
             else:
                 del acc[k]
         return cls._of(acc)

@@ -46,6 +46,17 @@ def test_zero_and_one():
     assert str(one) == "1"
 
 
+def test_public_constructor_drops_zero_coefficients():
+    # a zero coefficient kept in terms would print as 0 and yet not be 0
+    zero = CoeffElement({0: 0})
+    assert zero == 0 and zero.is_zero() and not zero
+    assert zero.terms == {} and hash(zero) == hash(0) and str(zero) == "0"
+    g1 = CoeffElement({**cp(1).terms, 0: 0})
+    assert g1 == cp(1) and g1.terms == cp(1).terms
+    assert PhiElement.const(zero).is_zero()
+    assert -g1 == -cp(1) and -zero == 0
+
+
 def test_ring_axioms_spot():
     a = cp(1) + 2
     b = cp(2) - cp(1)
@@ -398,6 +409,13 @@ def test_packed_ring_matches_tuple_oracle():
         (x, rx), (y, ry) = (_random_element(rng, ORACLE_KEYS) for _ in range(2))
         assert _agrees(x, rx)
         assert _agrees(x * y, ref_mul(rx, ry))
+        before = dict(x.terms)
+        for n in (0, 1, -1, 7, 2**70, True):
+            rn = {(): n} if n else {}
+            assert _agrees(x * n, ref_mul(rx, rn))
+            assert _agrees(n * x, ref_mul(rn, rx))
+        assert x * 1 == x
+        assert x.terms == before
         assert _agrees(x + y, ref_add(rx, ry))
         assert _agrees(x - y, ref_add(rx, ref_neg(ry)))
         assert _agrees(-x, ref_neg(rx))
@@ -524,6 +542,8 @@ def test_every_constructor_coerces_coefficients_alike():
         "NormalForm.of": lambda: NormalForm.of(UNIT, 2.5),
         "PhiElement.const": lambda: PhiElement.const(2.5),
         "PhiElement.scale": lambda: PhiElement.one().scale(2.5),
+        "CoeffElement.__mul__": lambda: cp(1) * 2.5,
+        "CoeffElement.__rmul__": lambda: 2.5 * cp(1),
     }
     expected = ("TypeError", "cannot coerce 2.5 into the coefficient ring")
     assert {name: _raised(call) for name, call in rejects.items()} == dict.fromkeys(

@@ -1,6 +1,8 @@
 """``Combination.total``, the accumulation kernel of every combination,
-against the per-term loops it replaced: ``add_scaled`` and the generic
-pair loop of the Laurent product, kept here as they were."""
+which sums each key's coefficient with the coefficient ring's one
+multiply-accumulate step (``coeff._add_product``), against the per-term
+loops it replaced: ``add_scaled`` and the generic pair loop of the
+Laurent product, kept here as they were."""
 
 import pytest
 from hypothesis import given, settings
