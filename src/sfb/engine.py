@@ -276,14 +276,16 @@ def _outer(word: tuple) -> tuple:
     return ("r", (i - 1, j, x, ())) if i else ("s", (0, j - 1, x, ()))
 
 
-def bm_images(convention: str = "same", present=None):
+def bm_images(convention: str = "same", present=None, block=None):
     """bm -> lambda(bm), or its image under a ring map `present`, such as
     to_z_basis, that fixes e_r, e_s and the constants.  lambda is
     multiplicative, so an image is its bare word's image times its
     atoms'.  `present` runs once per plain word (0, 0, a, ()), each
     operator word is built from its inner word in that presentation, and
     each multiset product from its prefix, in memos that live as long as
-    the returned function."""
+    the returned function.  With `block`, a monomial preorder that
+    respects products, bm maps to the block of its image where `block` is
+    largest: its factors' top blocks multiplied, as Z[g, A] is a domain."""
     products = {}
 
     @cache
@@ -294,6 +296,14 @@ def bm_images(convention: str = "same", present=None):
         flavor, inner = _outer(word)
         return _lambda_gamma(flavor, word_image(inner), bm_term(inner))
 
+    @cache
+    def factor(word):
+        image = word_image(word)
+        if block is None or not image.terms:
+            return image
+        top = max(map(block, image.terms))
+        return image._of({k: c for k, c in image.terms.items() if block(k) == top})
+
     def product(m):
         image = products.get(m)
         if image is None:
@@ -301,14 +311,14 @@ def bm_images(convention: str = "same", present=None):
                 prefix = m[:k + 1]
                 hit = products.get(prefix)
                 if hit is None:
-                    atom = word_image((0, 0, m[k], ()))
+                    atom = factor((0, 0, m[k], ()))
                     hit = products[prefix] = image * atom if k else atom
                 image = hit
         return image
 
     def image(bm):
         i, j, x, m = bm
-        word = word_image((i, j, x, ()))
+        word = factor((i, j, x, ()))
         return word * product(m) if m else word
 
     return image
@@ -638,7 +648,8 @@ def certify_basis(
         tag, key, present = "x", neg_lex_key, None
     else:
         raise ValueError("unknown monomial order %r" % (order,))
-    image = bm_images(convention, present)
+    # the first two key components respect products; the whole keys do not
+    image = bm_images(convention, present, lambda m: key(m)[:2])
     if inject_duplicate:
         if not candidates:
             raise ValueError("nothing to duplicate: no word of degree <= %d" % degree_bound)

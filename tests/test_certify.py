@@ -5,21 +5,26 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfb.cli import main
+from sfb import engine
 from sfb.engine import (
     UNIT,
     VARIANTS,
+    _leading,
     _variant_atoms,
     _word_ok,
     atom_degree,
     bm_degree,
     bm_images,
     bm_term,
+    certify_basis,
     enumerate_basis,
     lambda_term,
 )
-from sfb.phi import to_z_basis
+from sfb.phi import mono_mul, neg_lex_key, to_z_basis, z_maxnorm_key
 
 
 # --- the generate-then-filter enumeration, kept as the oracle -------------
@@ -126,6 +131,85 @@ def test_present_runs_once_per_plain_word():
     assert Counter(calls) == Counter(lambda_term(bm_term(w)) for w in plain)
 
 
+# --- leading terms from the top blocks of the factors ------------------------
+
+# order -> (lead tag, whole key, presentation), as certify_basis reads them
+ORDERS = {
+    "z_maxnorm": ("z", z_maxnorm_key, to_z_basis),
+    "neg_lex": ("x", neg_lex_key, None),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("convention", ["same", "mixed"])
+def test_cut_images_keep_the_whole_leading_term(variant, order, convention):
+    # the cut image is exactly the top block of the whole image, so its
+    # leading monomial and coefficient are the whole image's
+    tag, key, present = ORDERS[order]
+    block = lambda m: key(m)[:2]
+    whole = bm_images(convention, present)
+    cut = bm_images(convention, present, block)
+    for bm in enumerate_basis(12, variant, 6):
+        w, c = whole(bm), cut(bm)
+        assert _leading(c, tag, key) == _leading(w, tag, key), bm
+        top = max(map(block, w.terms), default=None)
+        assert c.terms == {m: v for m, v in w.terms.items() if block(m) == top}, bm
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+_EXPONENT = st.integers(-6, 6)
+_GENERATORS = st.lists(
+    st.tuples(st.integers(1, 6), st.sampled_from("rs")), max_size=4
+).map(lambda gens: tuple(sorted(gens)))
+_MONOMIALS = st.tuples(_EXPONENT, _EXPONENT, _GENERATORS)
+
+
+@pytest.mark.parametrize("key", [z_maxnorm_key, neg_lex_key])
+@given(u=_MONOMIALS, v=_MONOMIALS, w=_MONOMIALS)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_first_two_key_components_respect_products(key, u, v, w):
+    # both < and == survive multiplying both sides by w
+    block = lambda m: key(m)[:2]
+    assert _cmp(block(u), block(v)) == _cmp(block(mono_mul(u, w)), block(mono_mul(v, w)))
+
+
+def _certify_block(monkeypatch, order):
+    """The block by which certify_basis cuts its images under `order`."""
+    blocks = []
+    real = engine.bm_images
+
+    def spy(convention, present, block=None):
+        blocks.append(block)
+        return real(convention, present, block)
+
+    monkeypatch.setattr(engine, "bm_images", spy)
+    certify_basis(0, "omega", 0, order)
+    [block] = blocks
+    return block
+
+
+@pytest.mark.parametrize("order, u, v, w", [
+    # max(p, q) breaks Euler ties: (-3, 0) is above (-2, -2), not after (0, -2)
+    ("z_maxnorm", (-3, 0, ()), (-2, -2, ()), (0, -2, ())),
+    # a shorter X-multiset sorts first: X(1,r) is below X(1,r)X(2,r),
+    # not after X(3,r)
+    ("neg_lex", (0, 0, ((1, "r"),)), (0, 0, ((1, "r"), (2, "r"))),
+     (0, 0, ((3, "r"),))),
+])
+def test_whole_keys_do_not_respect_products(monkeypatch, order, u, v, w):
+    # so the lead of a product is not the product of the factors' leads,
+    # and certify cuts each factor to a whole block, where these tie
+    _, key, _ = ORDERS[order]
+    uw, vw = mono_mul(u, w), mono_mul(v, w)
+    assert _cmp(key(u), key(v)) == -_cmp(key(uw), key(vw)) != 0
+    block = _certify_block(monkeypatch, order)
+    assert block(u) == block(v) and block(uw) == block(vw)
+
+
 # --- reports pinned from the whole-term route --------------------------------
 
 # sha256 of the certify stdout and its exit code, recorded with every
@@ -159,6 +243,37 @@ PINNED = [
         ("omega", 0, OMEGA_D12),
         ("omega-lit", 1, OMEGA_LIT_D12),
         ("omega-alt", 1, OMEGA_ALT_D12),
+    )
+] + [
+    # neg_lex reads the X presentation, where the pole convention shows,
+    # so each convention has its own report; these and the negative
+    # controls below were recorded from whole images, before certify cut
+    # each factor to its top block
+    (("--z-convention", convention, "certify", "--variant", variant,
+      "--degree", degree, "--truncation", truncation, "--order", "neg_lex"),
+     1, digest)
+    for convention, variant, degree, truncation, digest in (
+        ("same", "omega", "12", "6", "41de5b3ce65a0febcf7af15c67fdb7ed570f141ac0818356cadf375f7cec8958"),
+        ("same", "omega-lit", "12", "6", "a354be2dcae9d9e7ab7e63f49e35484cc60f0fa247259e70d96f3696b2417501"),
+        ("same", "omega-alt", "12", "6", "c4d816cc2168d60a7cf2ff6d0e47a636c7e0eaa1204d6aa49fe9cc8786fa3d7d"),
+        ("same", "musf", "10", "4", "7ab1fbce0cd7e10ca06656921efeb646638ec106473382ba0952a59e0b1aec12"),
+        ("same", "musf-work", "10", "4", "1be4e987593ac2f164117436b640c6195fddb794104a32b5aa60a0348f2ac49b"),
+        ("mixed", "omega", "12", "6", "c3f5f635132432d3deed85c524a5aa369ea9069005aa86e31c576744ff538761"),
+        ("mixed", "omega-lit", "12", "6", "e69078becc360a17f692ea295bcbf57e85a2bdf14d286acaeac812b0f0a54dc2"),
+        ("mixed", "omega-alt", "12", "6", "88e421d769df593e8a2393bb7b07b6f5cf90746d9a0528d78117232e86deceb2"),
+        ("mixed", "musf", "10", "4", "9b01d14ce0e6073bcadd792c229b2c7a8314d92aa13ea3eaf55a64545bf205bc"),
+        ("mixed", "musf-work", "10", "4", "59c4dadec04e8c262c9e3547b8d7d2eb8d5fa3c9df81b4dc4eaeb9ffa6e385b1"),
+    )
+] + [
+    # the negative control: the copy of the last word adds one lead
+    # collision, under either order
+    (("certify", "--variant", variant, "--degree", "8", "--truncation", "4",
+      "--order", order, "--inject-duplicate"), 1, digest)
+    for order, variant, digest in (
+        ("z_maxnorm", "musf", "56a8cb818c99c88a7f9c6c46626478b01e000889e02ca00f983ff5be45a23d43"),
+        ("z_maxnorm", "omega", "ad85c435da247bee99f11aefb16f209f8183ad9b2e019cb0a1a6dd7cf3576d30"),
+        ("neg_lex", "musf", "0d8308343c491cb52bfa9aaec93a347d2feed3bbfffa169bdf97260fc944ece4"),
+        ("neg_lex", "omega", "bc739dc26d71a681940e142c4e2dbd84a8aa681477d39c047151e8140b6f4648"),
     )
 ] + [
     # the enumeration order itself, which the oracle above shares
