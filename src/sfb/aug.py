@@ -100,7 +100,10 @@ class AugEnv:
         e_r = ("euler", "r")
         for n in range(1, j + 1):
             if (n, e_r) not in memo:
-                # ring operators, not the kernel: each height is filled once per process
+                # ring operators, not CoeffElement.total: the bench tracer's
+                # self-check needs CoeffElement's + and * to fire on both the
+                # normalize and certify workloads; on certify this tower is
+                # their only caller, and on normalize the only caller of +
                 terms = (p_coeff(k) * memo[(n - 1 - k, e_r)] for k in range(n - 1))
                 memo[(n, e_r)] = sum(terms, -ONE if n == 1 else ZERO)
         return memo[(j, e_r)]

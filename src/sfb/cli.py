@@ -29,7 +29,6 @@ from .engine import (
     GammaEngine,
     InternalError,
     VARIANTS,
-    bm_degree,
     bm_json,
     certify_basis,
     enumerate_basis,
@@ -190,9 +189,8 @@ def cmd_cobordant(args) -> tuple:
 def cmd_basis(args) -> tuple:
     items = enumerate_basis(args.degree, args.variant, args.truncation)
     return [
-        {k: v for k, v in bm_json(bm, ONE).items() if k != "coeff"}
-        | {"degree": bm_degree(bm)}
-        for bm in items
+        {k: v for k, v in bm_json(bm, ONE).items() if k != "coeff"} | {"degree": d}
+        for d, bm in items
     ], True
 
 

@@ -599,8 +599,9 @@ def _multisets(atoms, room, e_budget):
 
 
 def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 4):
-    """All candidate basis monomials of degree <= degree_bound whose
-    Euler/operator complexity fits the truncation bound, by degree."""
+    """(degree, word) for every candidate basis monomial of degree <=
+    degree_bound whose Euler/operator complexity fits the truncation
+    bound, sorted by degree and then by word."""
     n = truncation
     is_musf = variant.startswith("musf")
     atoms = _variant_atoms(variant, degree_bound + (2 * n if is_musf else 0))
@@ -618,7 +619,7 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
                     if not ops or _word_ok(variant, i, ops - i, x, m):
                         out.append((degree_bound - left, (i, ops - i, x, m)))
     out.sort()
-    return [bm for _, bm in out]
+    return out
 
 
 def _leading(image, tag: str, key):
@@ -657,8 +658,8 @@ def certify_basis(
     count_checked = variant.startswith("omega")
     degrees_report = []
     ok = True
-    for d, group in itertools.groupby(candidates, bm_degree):
-        entries = list(group)
+    for d, group in itertools.groupby(candidates, lambda c: c[0]):
+        entries = [bm for _, bm in group]
         failures = []
         leads = {}
         unit_leads = True

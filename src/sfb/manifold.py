@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from math import comb, prod
 
-from .coeff import CoeffElement, _Scanner, check_flavor, signed_join, weighted
+from .coeff import CoeffElement, _Scanner, check_flavor
 from .phi import PhiElement, mono_json, z_gen
 from .aug import AUG
 from .terms import t_gamma, t_int, t_prod, t_sum, t_zgen
@@ -122,25 +122,6 @@ def lambda_manifold(m: tuple, convention: str = "same") -> PhiElement:
     raise ValueError("unknown manifold tag %r" % (tag,))
 
 
-def gamma_fixed_semantics(m: tuple, star: bool = False) -> dict:
-    """The three fixed-set contributions of the twisted-bundle
-    construction: the original manifold with one extra normal line, the
-    underlying manifold on the other side, and the correction copy of
-    the sphere.  Their sum is the localized image of gamma(M)."""
-    fl, co = ("s", "r") if star else ("r", "s")
-    lam = lambda_manifold(m)
-    abar = aug_manifold(m)
-    fixed = PhiElement.euler(fl, -1) * lam
-    free = PhiElement.euler(co, -1).scale(abar)
-    correction = z_gen(1, "r").scale(-abar)
-    return {
-        "fixed_component": fixed,
-        "free_quotient": free,
-        "correction": correction,
-        "total": fixed + free + correction,
-    }
-
-
 # --- isolated fixed-point data ---------------------------------------------
 
 
@@ -188,13 +169,6 @@ def _merge(out: dict, items) -> None:
             out[kl] = s
         else:
             out.pop(kl, None)
-
-
-def lambda_fixed(data: dict) -> PhiElement:
-    """Localized image of isolated data: sum of w * e_r^-k e_s^-l."""
-    return PhiElement(
-        {(-k, -l, ()): CoeffElement.integer(w) for (k, l), w in data.items()}
-    )
 
 
 def fixed_data_to_json(data: dict) -> dict:
@@ -305,13 +279,6 @@ def realize_iterative(data: dict) -> dict:
     return {"realizable": True, "decomposition": decomposition}
 
 
-def decomposition_lambda(decomposition: list) -> PhiElement:
-    sphere = z_gen(1, "r")
-    return PhiElement.total(
-        (sphere ** entry["power"], entry["multiplicity"]) for entry in decomposition
-    )
-
-
 # --- cobordance ---------------------------------------------------------
 
 
@@ -328,7 +295,7 @@ def check_cobordant(m1: tuple, m2: tuple, convention: str = "same"):
     return "unknown", {"difference": str(diff)}
 
 
-# --- parsing and printing ---------------------------------------------------
+# --- parsing ---------------------------------------------------
 
 
 def parse_manifold(text: str) -> tuple:
@@ -375,30 +342,6 @@ def _parse_matom(sc: _Scanner) -> tuple:
     raise ManifoldParseError(
         "expected manifold atom at position %d in %r" % (sc.pos, sc.text)
     )
-
-
-def manifold_text(m: tuple) -> str:
-    return _mtext(m, 0)
-
-
-def _mtext(m: tuple, level: int) -> str:
-    tag = m[0]
-    if tag == "pc":
-        return "P(%d,%s)" % (m[1], m[2])
-    if tag == "pt":
-        return "pt"
-    if tag == "gamma":
-        return "gamma(%s)" % _mtext(m[1], 0)
-    if tag == "gammastar":
-        return "gammas(%s)" % _mtext(m[1], 0)
-    if tag == "prod":
-        parts = [_mtext(sub, 1) for sub in m[1]]
-        body = " x ".join(parts)
-        return "(%s)" % body if level == 1 else body
-    if tag == "union":
-        out = signed_join([weighted(w, _mtext(sub, 1)) for w, sub in m[1]])
-        return "(%s)" % out if level == 1 else out
-    raise ValueError("unknown manifold tag %r" % (tag,))
 
 
 # --- randomized checks for the quotient-ring identities -------------------

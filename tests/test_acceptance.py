@@ -196,8 +196,8 @@ def test_basis_counts_and_triangularity():
     assert [two_colored_partitions(k) for k in range(7)] == convolution
 
     by_degree = {}
-    for bm in enumerate_basis(12, variant="omega", truncation=6):
-        d = bm_degree(bm)
+    for d, bm in enumerate_basis(12, variant="omega", truncation=6):
+        assert d == bm_degree(bm)
         by_degree[d] = by_degree.get(d, 0) + 1
     assert [by_degree[d] for d in range(2, 13, 2)] == [
         convolution[k] - 1 for k in range(1, 7)

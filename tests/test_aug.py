@@ -193,7 +193,7 @@ PINNED_AUG_POWERS = {
 def _aug_corpus():
     """Every basis word of degree <= 12, seeded random terms, products of
     those with a polynomial coefficient, and sums that cancel."""
-    terms = [bm_term(bm) for bm in enumerate_basis(12, "musf-work", 4)]
+    terms = [bm_term(bm) for _, bm in enumerate_basis(12, "musf-work", 4)]
     rng = random.Random(23)
     terms += [random_term(rng, depth=5, max_z=4) for _ in range(200)]
     a = t_coeff(aug_symbol(1, "P") - 2 * cp(1))

@@ -41,8 +41,9 @@ def test_variant_registry():
 def test_quotient_counts_match_oracle():
     basis = enumerate_basis(12, variant="omega", truncation=6)
     by_degree = {}
-    for bm in basis:
-        by_degree[bm_degree(bm)] = by_degree.get(bm_degree(bm), 0) + 1
+    for d, bm in basis:
+        assert d == bm_degree(bm)
+        by_degree[d] = by_degree.get(d, 0) + 1
     assert by_degree[0] == 1
     for d in range(2, 13, 2):
         assert by_degree[d] == two_colored_oracle(d // 2) - 1
@@ -54,18 +55,18 @@ def test_enumerated_monomials_are_legal():
     # outside the storage invariant; the production families must not
     for variant in ("musf", "musf-work", "omega"):
         bound = 6 if variant.startswith("omega") else 4
-        for bm in enumerate_basis(bound, variant=variant, truncation=4):
+        for d, bm in enumerate_basis(bound, variant=variant, truncation=4):
             assert bm_is_legal(bm), (variant, bm)
-            assert bm_degree(bm) <= bound
+            assert d == bm_degree(bm) <= bound
     for variant in ("omega-lit", "omega-alt"):
-        for bm in enumerate_basis(6, variant=variant, truncation=4):
-            assert bm_degree(bm) <= 6
+        for d, bm in enumerate_basis(6, variant=variant, truncation=4):
+            assert d == bm_degree(bm) <= 6
 
 
 def test_word_families_differ():
     # the stricter family drops all operator words built on e_s
-    strict = set(enumerate_basis(4, variant="musf", truncation=4))
-    working = set(enumerate_basis(4, variant="musf-work", truncation=4))
+    strict = {bm for _, bm in enumerate_basis(4, variant="musf", truncation=4)}
+    working = {bm for _, bm in enumerate_basis(4, variant="musf-work", truncation=4)}
     assert strict < working
     assert not any(bm[2] == E_S and (bm[0] or bm[1]) for bm in strict)
     assert any(bm[2] == E_S and (bm[0] or bm[1]) for bm in working - strict)

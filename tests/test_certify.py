@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfb.cli import main
+from sfb.coeff import ONE
 from sfb import engine
 from sfb.engine import (
     UNIT,
@@ -19,6 +20,7 @@ from sfb.engine import (
     atom_degree,
     bm_degree,
     bm_images,
+    bm_json,
     bm_term,
     certify_basis,
     enumerate_basis,
@@ -82,8 +84,7 @@ def reference_enumerate_basis(degree_bound, variant="musf", truncation=4):
                     if bm not in seen:
                         seen.add(bm)
                         out.append(bm)
-    out.sort(key=lambda bm: (bm_degree(bm), bm))
-    return out
+    return sorted((bm_degree(bm), bm) for bm in out)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -94,7 +95,7 @@ def test_enumeration_matches_generate_then_filter(variant):
             assert got == reference_enumerate_basis(degree, variant, truncation), (
                 variant, degree, truncation,
             )
-            assert all(bm_degree(bm) <= degree for bm in got)
+            assert all(d <= degree for d, _ in got)
 
 
 # --- certify images against the whole-term X route ------------------------
@@ -107,7 +108,7 @@ def test_enumeration_matches_generate_then_filter(variant):
 def test_certify_images_match_whole_term_route(variant, degree, convention):
     z_image = bm_images(convention, to_z_basis)
     x_image = bm_images(convention)
-    for bm in enumerate_basis(degree, variant, 6):
+    for _, bm in enumerate_basis(degree, variant, 6):
         lam = lambda_term(bm_term(bm), convention)
         assert x_image(bm) == lam, bm
         assert z_image(bm) == to_z_basis(lam), bm
@@ -124,7 +125,7 @@ def test_present_runs_once_per_plain_word():
         return to_z_basis(image)
 
     image = bm_images("same", present)
-    words = enumerate_basis(12, "musf", 6)
+    words = [bm for _, bm in enumerate_basis(12, "musf", 6)]
     for bm in words:
         image(bm)
     plain = {(0, 0, a, ()) for _, _, x, m in words for a in (x,) + m}
@@ -150,7 +151,7 @@ def test_cut_images_keep_the_whole_leading_term(variant, order, convention):
     block = lambda m: key(m)[:2]
     whole = bm_images(convention, present)
     cut = bm_images(convention, present, block)
-    for bm in enumerate_basis(12, variant, 6):
+    for _, bm in enumerate_basis(12, variant, 6):
         w, c = whole(bm), cut(bm)
         assert _leading(c, tag, key) == _leading(w, tag, key), bm
         top = max(map(block, w.terms), default=None)
@@ -208,6 +209,40 @@ def test_whole_keys_do_not_respect_products(monkeypatch, order, u, v, w):
     assert _cmp(key(u), key(v)) == -_cmp(key(uw), key(vw)) != 0
     block = _certify_block(monkeypatch, order)
     assert block(u) == block(v) and block(uw) == block(vw)
+
+
+# --- failure entries no real family reaches -------------------------------
+
+
+@pytest.mark.parametrize("factor, kind, keys, unit_leads", [
+    # a word whose image is zero has no lead, so unit_leads stays true
+    (0, "zero-image", {"kind", "monomial"}, True),
+    (2, "non-unit-lead", {"kind", "monomial", "lead_coeff"}, False),
+])
+def test_failure_entries(monkeypatch, factor, kind, keys, unit_leads):
+    # scale the image of the last omega word, whose lead is a unit
+    *_, (d, last) = enumerate_basis(4, "omega", 4)
+    real = engine.bm_images
+    lead = _leading(real("same", to_z_basis)(last), "z", z_maxnorm_key)[1]
+
+    def spy(convention, present, block=None):
+        image = real(convention, present, block)
+        return lambda bm: image(bm).scale(factor) if bm == last else image(bm)
+
+    monkeypatch.setattr(engine, "bm_images", spy)
+    report = certify_basis(4, "omega", 4)
+    assert report["ok"] is False
+    *fine, entry = report["degrees"]
+    assert [e["failures"] for e in fine] == [[]] * len(fine)
+    assert set(entry) == {"degree", "count", "leads_distinct", "unit_leads",
+                          "failures", "expected_count"}
+    assert entry["degree"] == d and entry["count"] == entry["expected_count"]
+    assert entry["leads_distinct"] is True and entry["unit_leads"] is unit_leads
+    [failure] = entry["failures"]
+    assert set(failure) == keys
+    assert failure["kind"] == kind and failure["monomial"] == bm_json(last, ONE)
+    if factor:
+        assert failure["lead_coeff"] == str(factor * lead)
 
 
 # --- reports pinned from the whole-term route --------------------------------

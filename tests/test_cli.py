@@ -140,6 +140,24 @@ def test_normalize_json(capsys):
     assert doc == [{"i": 1, "j": 1, "x": "e_r", "m": [], "coeff": "1"}]
 
 
+# one product of x = G_r(Z(3,s)), y = G_r(G_s(Z(2,s))) and z = G_s(e_r),
+# bracketed two ways
+LEFT = "(G_r(Z(3,s)))*(G_r(G_s(Z(2,s))))*(G_s(e_r))"
+RIGHT = "(G_r(Z(3,s)))*((G_r(G_s(Z(2,s))))*(G_s(e_r)))"
+
+
+def test_bracketings_have_one_image(capsys):
+    assert run_cli(capsys, "lambda", "--", LEFT + " - " + RIGHT) == (0, "0")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="normalize keeps words that are linearly dependent, "
+                   "so a product's normal form depends on its bracketing")
+def test_bracketings_have_one_normal_form(capsys):
+    assert run_cli(capsys, "normalize", LEFT) == run_cli(capsys, "normalize", RIGHT)
+    assert run_cli(capsys, "normalize", "--", LEFT + " - " + RIGHT) == (0, "0")
+
+
 def test_geometric_exit_codes(capsys):
     code, doc = run_cli(capsys, "geometric", "Z(3,s)")
     assert code == 0 and doc == {"geometric": True}

@@ -14,12 +14,9 @@ from sfb.manifold import (
     NonIsolatedError,
     aug_manifold,
     check_cobordant,
-    decomposition_lambda,
     fixed_data,
     fixed_data_from_json,
     fixed_data_to_json,
-    gamma_fixed_semantics,
-    lambda_fixed,
     lambda_manifold,
     m_gamma,
     m_gammastar,
@@ -27,7 +24,6 @@ from sfb.manifold import (
     m_point,
     m_prod,
     m_union,
-    manifold_text,
     manifold_to_term,
     parse_manifold,
     random_manifold,
@@ -37,6 +33,8 @@ from sfb.manifold import (
 from sfb import manifold
 from sfb.engine import lambda_term
 from sfb.phi import PhiElement, z_gen
+
+from oracles import decomposition_lambda, gamma_fixed_semantics, lambda_fixed, manifold_text
 
 
 def sphere_power(n, flavor="r"):

@@ -16,11 +16,12 @@ from sfb.engine import lambda_term, random_term
 from sfb.manifold import (
     ManifoldParseError,
     lambda_manifold,
-    manifold_text,
     parse_manifold,
     random_manifold,
 )
 from sfb.terms import TermParseError, parse_term, term_text
+
+from oracles import manifold_text
 
 PARSERS = {
     "coeff": (parse_coeff, CoeffParseError),

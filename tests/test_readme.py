@@ -24,7 +24,7 @@ def test_readme_library_example_runs_as_documented():
             checked += 1
         else:
             exec(code, env)
-    assert checked == 3
+    assert checked == 6
 
 
 def cli_examples():
