@@ -22,10 +22,13 @@ Products follow a convolution rule with unit coefficients:
 
 from __future__ import annotations
 
+from functools import cache
+
 from .coeff import CoeffElement, ONE, ZERO, aug_symbol, cp
 from .terms import t_prod
 
 
+@cache
 def p_coeff(t: int) -> CoeffElement:
     """Scalar part of the t-fold tower over the degree-2 class."""
     if t < 0:
@@ -36,10 +39,17 @@ def p_coeff(t: int) -> CoeffElement:
 
 
 class AugEnv:
-    """Augmentation memoized on each term as the caller built it."""
+    """Augmentation memoized on each term as the caller built it.  A
+    `leaf` map, such as a ``coeff.Point``, carries every scalar the rules
+    bring in into its own ring, and the values are sums of products
+    there: the augmentation evaluated under that map."""
 
-    def __init__(self):
+    def __init__(self, leaf=None):
         self._memo = {}
+        self._leaf = leaf or (lambda c: c)
+        self._total = CoeffElement.total if leaf is None else (
+            lambda pairs: sum(v * c for v, c in pairs))
+        self._zero, self._one = self._leaf(ZERO), self._leaf(ONE)
 
     def aug(self, term: tuple) -> CoeffElement:
         return self.aug_power(0, term)
@@ -54,46 +64,46 @@ class AugEnv:
         return value
 
     def _aug_power(self, j: int, t: tuple) -> CoeffElement:
-        tag = t[0]
+        tag, leaf, zero = t[0], self._leaf, self._zero
         if tag == "coeff":
-            return t[1] if j == 0 else ZERO
+            return leaf(t[1]) if j == 0 else zero
         if tag == "bar":
-            return self.aug_power(0, t[1]) if j == 0 else ZERO
+            return self.aug_power(0, t[1]) if j == 0 else zero
         if tag == "euler":
             return self._aug_euler_tower(j, t[1])
         if tag == "zgen":
             n = t[1]
             if j == 0:
-                return cp(n)
-            return aug_symbol(j, "Z(%d,%s)" % (n, t[2]))
+                return leaf(cp(n))
+            return leaf(aug_symbol(j, "Z(%d,%s)" % (n, t[2])))
         if tag == "gamma":
             if t[1] == "s":
                 return self.aug_power(j + 1, t[2])
             y = t[2]
             pairs = [(self.aug_power(j + 1, y), -1)]
-            pairs += ((self.aug_power(j - k, y), p_coeff(k)) for k in range(j))
-            return CoeffElement.total(pairs)
+            pairs += ((self.aug_power(j - k, y), leaf(p_coeff(k))) for k in range(j))
+            return self._total(pairs)
         if tag == "sum":
-            return CoeffElement.total((self.aug_power(j, s), 1) for s in t[1])
+            return self._total((self.aug_power(j, s), 1) for s in t[1])
         if tag == "prod":
             if not t[1]:
-                return ONE if j == 0 else ZERO
+                return self._one if j == 0 else zero
             # the rule holds for any split; halving keeps the recursion
             # depth logarithmic in the number of factors, and t_prod turns
             # a one-factor half into its factor, where the recursion ends
             h = len(t[1]) // 2
             w, z = t_prod(*t[1][:h]), t_prod(*t[1][h:])
             # a zero left factor skips its right factor's tower
-            return CoeffElement.total(
+            return self._total(
                 (self.aug_power(j - k, z), left)
                 for k in range(j + 1) if (left := self.aug_power(k, w)))
         raise ValueError("unknown term tag %r" % (tag,))
 
     def _aug_euler_tower(self, j: int, flavor: str) -> CoeffElement:
         if j == 0:
-            return ZERO
+            return self._zero
         if flavor == "s":
-            return ONE if j == 1 else ZERO
+            return self._one if j == 1 else self._zero
         # T(1) = -1, T(n) = sum_{k<n-1} p_k T(n-1-k), filled bottom-up into
         # the memo: O(j^2) ring operations instead of 2^(j-1) calls
         memo = self._memo
@@ -104,8 +114,8 @@ class AugEnv:
                 # self-check needs CoeffElement's + and * to fire on both the
                 # normalize and certify workloads; on certify this tower is
                 # their only caller, and on normalize the only caller of +
-                terms = (p_coeff(k) * memo[(n - 1 - k, e_r)] for k in range(n - 1))
-                memo[(n, e_r)] = sum(terms, -ONE if n == 1 else ZERO)
+                terms = (self._leaf(p_coeff(k)) * memo[(n - 1 - k, e_r)] for k in range(n - 1))
+                memo[(n, e_r)] = sum(terms, -self._one if n == 1 else self._zero)
         return memo[(j, e_r)]
 
 

@@ -17,6 +17,14 @@ import sys
 from functools import reduce
 from operator import mul, or_
 
+try:  # hashlib's sha512 without loading OpenSSL, as the random module does
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha512 as _sha512
+    else:
+        from _sha512 import sha512 as _sha512
+except ImportError:
+    from hashlib import sha512 as _sha512
+
 # Generator keys (the public API of gen, aug_symbols and substitute).
 #   ('g', n)            -> g_n, degree 2n
 #   ('A', j, base, deg) -> A(j;base), degree deg (even), j >= 1
@@ -141,6 +149,11 @@ class Sparse:
             if n:
                 base = base * base
         return result
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -377,6 +390,43 @@ def _mono_degree(mono: int) -> int:
         degree += d * (mono & _EXP_MASK)
         mono >>= 64
     return degree
+
+
+class Point:
+    """The ring map Z[g, A] -> Z sending each generator to a value in
+    [1, 2^64) drawn by sha512 from `text` and the generator's name, never
+    from the hash seed or the slot order.  Calling it evaluates an element,
+    memoized per packed monomial; a generator power past MAX_EXPONENT
+    raises OverflowError."""
+
+    MAX_EXPONENT = 4096
+
+    def __init__(self, text: str):
+        self.seed = _sha512(text.encode()).hexdigest()[:16]
+        self._gens = {}  # slot -> value
+        self._monos = {0: 1}
+
+    def _mono(self, mono: int) -> int:
+        value = self._monos.get(mono)
+        if value is None:
+            # the top slot's power times the rest, mostly a memo hit
+            top = (mono.bit_length() - 1) // 64
+            exp = mono >> 64 * top
+            if exp > self.MAX_EXPONENT:
+                raise OverflowError("a coefficient monomial is too large to evaluate")
+            gen = self._gens.get(top)
+            if gen is None:
+                name = "%s %s" % (self.seed, _gen_name(_SLOTS[top]))
+                digest = _sha512(name.encode()).digest()
+                gen = self._gens[top] = int.from_bytes(digest[:8], "big") % _EXP_MASK + 1
+            value = self._monos[mono] = self._mono(mono - (exp << 64 * top)) * gen ** exp
+        return value
+
+    def __call__(self, c: CoeffElement) -> int:
+        monos, total = self._monos, 0
+        for m, a in c.terms.items():
+            total += a * (monos.get(m) or self._mono(m))
+        return total
 
 
 def _mono_str(mono) -> str:

@@ -8,9 +8,14 @@ of generators.  A generator is its own term (``("euler", V)`` or
 plain tuple order is the generator order e_r < e_s < Z(2,r) < Z(2,s) < ...
 and a basis monomial sorts as itself.
 
-Every rewrite rule is exact under the localization map, and
-``normalize`` recomputes the localized image on both routes by default;
-a mismatch raises instead of being silently discarded.
+Every rewrite rule is exact under the localization map.  Unless
+``check_lambda=False`` (``--no-check-lambda``), ``normalize`` compares
+the localized images of the input and of its normal form at a point
+seeded from the input's text (``coeff.Point``).  Evaluation is a ring
+map, so a false mismatch is impossible, and a random point misses a real
+one with probability at most deg/(2^64 - 1) (Schwartz 1980, Zippel
+1979).  A point mismatch is rechecked exactly; ``lambda_image()``
+without a point stays exact.
 
 The pole convention of ``z_gen`` reaches only callers that print an
 image.  The ring automorphism X(n,V) -> X(n,V) + e_V'^-(n+1) - e_V^-(n+1)
@@ -38,9 +43,10 @@ import random
 from functools import cache, reduce
 from math import prod
 
-from .coeff import FLAVORS, CoeffElement, ONE, aug_symbol_name, coerce, cp
+from .coeff import FLAVORS, CoeffElement, ONE, ZERO, Point, aug_symbol_name, coerce, cp
 from .phi import (
     Combination,
+    IntImage,
     PhiElement,
     euler_mono,
     mono_json,
@@ -60,7 +66,7 @@ from .terms import (
     t_zgen,
     term_text,
 )
-from .aug import AUG
+from .aug import AUG, AugEnv
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -211,10 +217,14 @@ class NormalForm(Combination):
             for bm in sorted(self.terms)
         ]
 
-    def lambda_image(self) -> PhiElement:
-        """Sum of c * lambda(bm), over images built once per call."""
-        image = bm_images()
-        return PhiElement.total((image(bm), c) for bm, c in self.terms.items())
+    def lambda_image(self, point=None):
+        """Sum of c * lambda(bm), over images built once per call; with a
+        ``coeff.Point``, that sum evaluated there, built there throughout."""
+        if point is None:
+            image = bm_images()
+            return PhiElement.total((image(bm), c) for bm, c in self.terms.items())
+        image = bm_images(present=lambda p: IntImage.at(point, p), aug=AugEnv(point).aug)
+        return IntImage.total((image(bm), point(c)) for bm, c in self.terms.items())
 
     def aug(self) -> CoeffElement:
         return CoeffElement.total(
@@ -235,7 +245,7 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
     if tag == "zgen":
         return z_gen(t[1], t[2], convention)
     if tag == "gamma":
-        return _lambda_gamma(t[1], lambda_term(t[2], convention), t[2])
+        return _lambda_gamma(t[1], lambda_term(t[2], convention), AUG.aug(t[2]))
     if tag == "bar":
         return PhiElement.const(AUG.aug(t[1]))
     if tag == "sum":
@@ -245,11 +255,12 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
     raise ValueError("unknown term tag %r" % (tag,))
 
 
-def _lambda_gamma(flavor: str, inner, inner_term: tuple):
-    """lambda(G_V y) = e_V^-1 (lambda(y) - bar y) in inner's presentation."""
+def _lambda_gamma(flavor: str, inner, bar):
+    """lambda(G_V y) = e_V^-1 (lambda(y) - bar y) in inner's ring, from
+    inner = lambda(y) and bar = bar y in that ring's coefficients."""
     ring = type(inner)
-    scalar = ring({(0, 0, ()): AUG.aug(inner_term)})
-    return ring({euler_mono(flavor, -1): ONE}) * (inner - scalar)
+    scalar = ring({(0, 0, ()): bar})
+    return ring({euler_mono(flavor, -1): ring._unit}) * (inner - scalar)
 
 
 def is_geometric(term: tuple, convention: str = "same"):
@@ -276,9 +287,10 @@ def _outer(word: tuple) -> tuple:
     return ("r", (i - 1, j, x, ())) if i else ("s", (0, j - 1, x, ()))
 
 
-def bm_images(convention: str = "same", present=None, block=None):
+def bm_images(convention: str = "same", present=None, block=None, aug=None):
     """bm -> lambda(bm), or its image under a ring map `present`, such as
-    to_z_basis, that fixes e_r, e_s and the constants.  lambda is
+    to_z_basis, that fixes e_r, e_s and the constants (evaluation at a
+    point too, with `aug` giving bar y at that point).  lambda is
     multiplicative, so an image is its bare word's image times its
     atoms'.  `present` runs once per plain word (0, 0, a, ()), each
     operator word is built from its inner word in that presentation, and
@@ -287,6 +299,7 @@ def bm_images(convention: str = "same", present=None, block=None):
     respects products, bm maps to the block of its image where `block` is
     largest: its factors' top blocks multiplied, as Z[g, A] is a domain."""
     products = {}
+    bar = aug or AUG.aug
 
     @cache
     def word_image(word):
@@ -294,7 +307,7 @@ def bm_images(convention: str = "same", present=None, block=None):
             image = lambda_term(bm_term(word), convention)
             return image if present is None else present(image)
         flavor, inner = _outer(word)
-        return _lambda_gamma(flavor, word_image(inner), bm_term(inner))
+        return _lambda_gamma(flavor, word_image(inner), bar(bm_term(inner)))
 
     @cache
     def factor(word):
@@ -324,6 +337,35 @@ def bm_images(convention: str = "same", present=None, block=None):
     return image
 
 
+def _check_lambda(term: tuple, nf: NormalForm):
+    """Raise unless nf has term's localized image, compared at a point
+    seeded from the term's text, and exactly where the point values differ
+    or do not fit: an exact difference is a LambdaMismatch, and none is a
+    fault of the point route."""
+    direct, text = lambda_term(term), term_text(term)
+    point = Point(text)
+    try:
+        agree = IntImage.at(point, direct) == nf.lambda_image(point)
+    except OverflowError:
+        agree = None
+    if agree:
+        return
+    via_nf = nf.lambda_image()
+    if direct != via_nf:
+        m = min((direct - via_nf).terms)
+        a, b = direct.terms.get(m, ZERO), via_nf.terms.get(m, ZERO)
+        raise LambdaMismatch(
+            "normalize changed the localized image of %r: the coefficient of %s "
+            "is %s in the input's image and %s in the normal form's (point seed %s)"
+            % (text, PhiElement({m: ONE}), a, b, point.seed)
+        )
+    if agree is not None:
+        raise InternalError(
+            "the cross-check of %r at point seed %s found a mismatch that the "
+            "exact images do not have" % (text, point.seed)
+        )
+
+
 # --- the rewriting engine -------------------------------------------------
 
 
@@ -347,13 +389,7 @@ class GammaEngine:
         self._steps = 0
         nf = self._eval(term)
         if check_lambda:
-            direct = lambda_term(term)
-            via_nf = nf.lambda_image()
-            if direct != via_nf:
-                raise LambdaMismatch(
-                    "normalize changed the localized image of %r: %s vs %s"
-                    % (term_text(term), direct, via_nf)
-                )
+            _check_lambda(term, nf)
         return nf
 
     # -- AST evaluation ----------------------------------------------------
@@ -666,6 +702,7 @@ def certify_basis(
         for bm in entries:
             led = _leading(image(bm), tag, key)
             if led is None:
+                unit_leads = False
                 failures.append({"kind": "zero-image", "monomial": bm_json(bm, ONE)})
                 continue
             lead_mono, lead_coeff = led

@@ -215,8 +215,8 @@ def test_whole_keys_do_not_respect_products(monkeypatch, order, u, v, w):
 
 
 @pytest.mark.parametrize("factor, kind, keys, unit_leads", [
-    # a word whose image is zero has no lead, so unit_leads stays true
-    (0, "zero-image", {"kind", "monomial"}, True),
+    # a word whose image is zero has no lead, let alone a unit one
+    (0, "zero-image", {"kind", "monomial"}, False),
     (2, "non-unit-lead", {"kind", "monomial", "lead_coeff"}, False),
 ])
 def test_failure_entries(monkeypatch, factor, kind, keys, unit_leads):

@@ -16,7 +16,7 @@ import sfb
 import sfb.cli
 from sfb.cli import main
 from sfb.engine import VARIANTS, NormalForm
-from sfb.phi import PhiElement
+from sfb.phi import IntImage, PhiElement
 from test_parse import grammar_text
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -345,7 +345,11 @@ def test_zero_step_budget_admits_no_rewrite(capsys, monkeypatch):
 def test_no_check_lambda_skips_the_cross_check(capsys, monkeypatch):
     expected = run_cli(capsys, "normalize", "G_r(G_s(Z(2,r)))")
     assert expected == (0, "G_r(G_s(Z(2,r)))")
-    monkeypatch.setattr(NormalForm, "lambda_image", lambda self: PhiElement.one())
+
+    def one(self, point=None):
+        return PhiElement.one() if point is None else IntImage.at(point, PhiElement.one())
+
+    monkeypatch.setattr(NormalForm, "lambda_image", one)
     # the cross-check runs, and can fail, under either pole convention
     for prefix in ([], ["--z-convention", "mixed"]):
         code = main(prefix + ["normalize", "G_r(G_s(Z(2,r)))"])
