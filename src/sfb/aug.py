@@ -30,9 +30,7 @@ from .terms import t_prod
 
 @cache
 def p_coeff(t: int) -> CoeffElement:
-    """Scalar part of the t-fold tower over the degree-2 class."""
-    if t < 0:
-        raise ValueError("tower index must be >= 0")
+    """Scalar part of the t-fold tower over the degree-2 class, t >= 0."""
     if t == 0:
         return cp(1)
     return aug_symbol(t, "P")

@@ -114,13 +114,17 @@ class Sparse:
     """Sparse map ``terms``: key -> nonzero coefficient, the root of the
     coefficient ring, both localized presentations and the normal forms.
 
-    Subclasses build ``terms`` in ``__init__`` from a mapping, and supply
-    ``degrees`` (the set of degrees present), ``__str__`` and, for
-    powers, the unit ``one``.  Instances are treated as immutable once
-    built.
+    ``__init__`` builds ``terms`` from a mapping and drops its zero
+    values, as the int-valued rings need; a ring whose values are not
+    ints builds its own.  Subclasses supply ``degrees`` (the set of
+    degrees present), ``__str__`` and, for powers, the unit ``one``.
+    Instances are treated as immutable once built.
     """
 
     __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in dict(terms).items() if c} if terms else {}
 
     @classmethod
     def zero(cls):
@@ -187,9 +191,6 @@ class CoeffElement(Sparse):
     """
 
     __slots__ = ()
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in dict(terms).items() if c} if terms else {}
 
     # --- constructors -------------------------------------------------
 
@@ -342,10 +343,9 @@ def check_exponents(monos):
 def _add_product(acc: dict, vt: dict, c, n) -> bool:
     """Add c * v into the raw {packed monomial: int} dict acc, the one
     multiply-accumulate step of the ring.  vt is v's terms; n is c's int
-    value, or None.  A constant on either side scales the other side's
-    values and forms no monomial.  True if the step formed monomials."""
-    if n is None and len(vt) == 1 and 0 in vt:
-        n, vt = vt[0], c.terms
+    value, or None.  An int c scales v's values and forms no monomial;
+    any other c forms the monomial of every pair of terms, a constant v's
+    too.  True if the step formed monomials."""
     if n is not None:
         for m, a in vt.items():
             acc[m] = acc.get(m, 0) + n * a

@@ -50,6 +50,7 @@ from .phi import (
     PhiElement,
     euler_mono,
     mono_json,
+    mono_mul,
     neg_lex_key,
     to_z_basis,
     z_gen,
@@ -87,12 +88,6 @@ class LambdaMismatch(InternalError):
 
 E_R = t_euler("r")
 E_S = t_euler("s")
-
-
-def z_atom(n: int, flavor: str) -> tuple:
-    if n < 2:
-        raise ValueError("stored Z-generators start at index 2")
-    return t_zgen(n, flavor)
 
 
 Z1 = t_zgen(1, "r")  # degree-2 sphere class, used by the quotient-side bases
@@ -257,10 +252,12 @@ def lambda_term(t: tuple, convention: str = "same") -> PhiElement:
 
 def _lambda_gamma(flavor: str, inner, bar):
     """lambda(G_V y) = e_V^-1 (lambda(y) - bar y) in inner's ring, from
-    inner = lambda(y) and bar = bar y in that ring's coefficients."""
-    ring = type(inner)
-    scalar = ring({(0, 0, ()): bar})
-    return ring({euler_mono(flavor, -1): ring._unit}) * (inner - scalar)
+    inner = lambda(y) and bar = bar y in that ring's coefficients.  The
+    division by e_V is a shift of every monomial, which is injective, so
+    it relabels the difference's terms."""
+    diff = inner - type(inner)({(0, 0, ()): bar})
+    pole = euler_mono(flavor, -1)
+    return diff._of({mono_mul(m, pole): c for m, c in diff.terms.items()})
 
 
 def is_geometric(term: tuple, convention: str = "same"):
@@ -574,8 +571,8 @@ VARIANTS = ("musf", "musf-work", "omega", "omega-lit", "omega-alt")
 def _variant_atoms(variant: str, max_z_degree: int) -> list:
     atoms = [E_R, E_S] if variant.startswith("musf") else [Z1]
     for n in range(2, max_z_degree // 2 + 1):
-        atoms.append(z_atom(n, "r"))
-        atoms.append(z_atom(n, "s"))
+        atoms.append(t_zgen(n, "r"))
+        atoms.append(t_zgen(n, "s"))
     return atoms
 
 
@@ -600,11 +597,10 @@ def _word_ok(variant: str, i: int, j: int, x: tuple, m: tuple) -> bool:
         if i != 0 and j == 0:
             return False
         return all(atom_degree(a) > atom_degree(x) for a in m)
-    if variant == "omega-alt":
-        if x == Z1:
-            return not m
-        return True
-    raise ValueError("unknown basis variant %r" % (variant,))
+    # omega-alt
+    if x == Z1:
+        return not m
+    return True
 
 
 def _multisets(atoms, room, e_budget):
@@ -638,6 +634,8 @@ def enumerate_basis(degree_bound: int, variant: str = "musf", truncation: int = 
     """(degree, word) for every candidate basis monomial of degree <=
     degree_bound whose Euler/operator complexity fits the truncation
     bound, sorted by degree and then by word."""
+    if variant not in VARIANTS:
+        raise ValueError("unknown basis variant %r" % (variant,))
     n = truncation
     is_musf = variant.startswith("musf")
     atoms = _variant_atoms(variant, degree_bound + (2 * n if is_musf else 0))

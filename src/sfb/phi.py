@@ -2,8 +2,7 @@
 
 A monomial is (a, b, xs): integer exponents of the two Euler classes
 e_r, e_s plus a multiset of X-generators X(n, flavor) with n >= 1.
-X(0, V) is not stored; it means e_V^-1.  Coefficients live in the
-graded ring from :mod:`sfb.coeff`.
+Coefficients live in the graded ring from :mod:`sfb.coeff`.
 
 Degrees: e_V has degree -2, X(n,V) has degree 2n + 2, so a monomial
 has degree -2a - 2b + sum(2n + 2).
@@ -32,21 +31,10 @@ _UNIT_TERMS = ONE.terms
 
 
 def mono(a: int, b: int, xs=()) -> tuple:
-    """Build a monomial key; X(0,V) entries fold into Euler exponents."""
-    ea, eb = a, b
-    kept = []
-    for n, flavor in xs:
+    """Build a monomial key from the X-generators (n >= 1, flavor) xs."""
+    for _, flavor in xs:
         check_flavor(flavor)
-        if n < 0:
-            raise ValueError("X index must be >= 0")
-        if n == 0:
-            if flavor == "r":
-                ea -= 1
-            else:
-                eb -= 1
-        else:
-            kept.append((n, flavor))
-    return (ea, eb, tuple(sorted(kept)))
+    return (a, b, tuple(sorted(xs)))
 
 
 def euler_mono(flavor: Flavor, k: int) -> tuple:
@@ -74,7 +62,6 @@ class Combination(Sparse):
     """
 
     __slots__ = ()
-    _unit = ONE  # the unit coefficient
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -278,10 +265,6 @@ class IntImage(Sparse):
     evaluated at a ``coeff.Point``: the ring of the normalize cross-check."""
 
     __slots__ = ()
-    _unit = 1
-
-    def __init__(self, terms=None):
-        self.terms = {m: n for m, n in terms.items() if n} if terms else {}
 
     @classmethod
     def at(cls, point, p: PhiElement) -> "IntImage":
@@ -300,15 +283,7 @@ class IntImage(Sparse):
         return self.total(((self, 1), (other, -1)))
 
     def __mul__(self, other):
-        """The Laurent product; a one-term factor relabels the other, as
-        PhiElement's does."""
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            ((m0, n0),) = b.items()
-            return IntImage._of({mono_mul(m, m0): n * n0 for m, n in a.items()})
-        return IntImage(_int_product(a.items(), b.items()))
+        return IntImage(_int_product(self.terms.items(), other.terms.items()))
 
 
 def mono_json(m: tuple) -> dict:

@@ -38,6 +38,14 @@ def test_variant_registry():
         enumerate_basis(4, variant="nope")
 
 
+@pytest.mark.parametrize("truncation", [0, 2])
+def test_unknown_variant_is_rejected_at_every_truncation(truncation):
+    # at truncation 0 no word has an operator for the variant to judge
+    for call in (enumerate_basis, certify_basis):
+        with pytest.raises(ValueError, match="unknown basis variant 'bogus'"):
+            call(6, "bogus", truncation)
+
+
 def test_quotient_counts_match_oracle():
     basis = enumerate_basis(12, variant="omega", truncation=6)
     by_degree = {}

@@ -21,7 +21,6 @@ from sfb.engine import (
     is_geometric,
     lambda_term,
     random_term,
-    z_atom,
 )
 from sfb.coeff import ONE
 from sfb.manifold import lambda_manifold, random_manifold
@@ -52,7 +51,7 @@ def test_unit_and_scalars(engine):
 
 
 def test_atom_order_is_graded():
-    atoms = [E_R, E_S, Z1, z_atom(2, "r"), z_atom(2, "s"), z_atom(3, "r")]
+    atoms = [E_R, E_S, Z1, t_zgen(2, "r"), t_zgen(2, "s"), t_zgen(3, "r")]
     assert sorted(atoms) == atoms
 
 

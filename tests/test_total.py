@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfb.coeff import CoeffElement, aug_symbol, cp
-from sfb.engine import E_R, E_S, P_BM, UNIT, NormalForm, z_atom
+from sfb.engine import E_R, E_S, P_BM, UNIT, NormalForm
 from sfb.phi import PhiElement, ZElement, mono, mono_mul
+from sfb.terms import t_zgen
 
 
 def _reference_add_scaled(self, other, c):
@@ -58,7 +59,7 @@ def _reference_pair_loop(self, other):
 KEYS = {
     PhiElement: [mono(0, 0), mono(-1, 0), mono(0, -2), mono(1, 0, [(2, "s")])],
     ZElement: [(0, 0, ()), (-1, 0, ()), (0, -3, ()), (1, 0, ((2, "r"),))],
-    NormalForm: [UNIT, P_BM, (0, 1, E_R, ()), (1, 0, E_S, (z_atom(2, "r"),))],
+    NormalForm: [UNIT, P_BM, (0, 1, E_R, ()), (1, 0, E_S, (t_zgen(2, "r"),))],
 }
 POLYNOMIALS = [
     cp(1), cp(2), -cp(1), aug_symbol(1, "P"), aug_symbol(2, "Z(3,r)"),
