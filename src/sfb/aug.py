@@ -7,14 +7,18 @@ recursion covers both because the r-flavored operator can be eliminated:
     aug(G_s^j G_r y) = sum_{t=0}^{j-1} p_t * aug(G_s^(j-t) y)
                        - aug(G_s^(j+1) y)
 
-where p_0 = g1 and p_t (t >= 1) is the opaque symbol A(t;P), the scalar
-part of the t-fold tower over the degree-2 projective class.  At j = 0
-the sum is empty and the rule degenerates to the sign flip
-aug(G_r y) = -aug(G_s y).
+where p_t is the t-fold tower over the sphere class Z(1,V): p_0 = g1,
+and p_t (t >= 1) is the opaque symbol A(t;P).  At j = 0 the sum is
+empty and the rule degenerates to the sign flip aug(G_r y) = -aug(G_s y).
 
 Towers over irreducible generators stay symbolic: A(j;P) for the
-degree-2 class, A(j;Z(n,V)) for the higher ones.  Towers over e_r
-close up through the same p-coefficients; towers over e_s terminate.
+degree-2 class, A(j;Z(n,V)) for the higher ones.  Towers over e_V follow
+from G_V(e_V) = 1, whose tower is 1 at j = 0 and 0 above: the rule read
+there gives aug(G_s^j e_s) = [j == 1], and aug(e_r) = 0,
+aug(G_s e_r) = -1 and, for j >= 2,
+
+    aug(G_s^j e_r) = sum_{t=0}^{j-2} p_t * aug(G_s^(j-1-t) e_r)
+
 Products follow a convolution rule with unit coefficients:
 
     aug(G_s^j (w*z)) = sum_{t=0}^{j} aug(G_s^t w) * aug(G_s^(j-t) z)
@@ -22,18 +26,11 @@ Products follow a convolution rule with unit coefficients:
 
 from __future__ import annotations
 
-from functools import cache
-
 from .coeff import CoeffElement, ONE, ZERO, aug_symbol, cp
-from .terms import t_prod
+from .terms import t_prod, t_zgen
 
-
-@cache
-def p_coeff(t: int) -> CoeffElement:
-    """Scalar part of the t-fold tower over the degree-2 class, t >= 0."""
-    if t == 0:
-        return cp(1)
-    return aug_symbol(t, "P")
+# the sphere class P; its tower is p_t
+_SPHERE = t_zgen(1, "r")
 
 
 class AugEnv:
@@ -68,7 +65,18 @@ class AugEnv:
         if tag == "bar":
             return self.aug_power(0, t[1]) if j == 0 else zero
         if tag == "euler":
-            return self._aug_euler_tower(j, t[1])
+            if j == 0:
+                return zero
+            if t[1] == "s":
+                return self._one if j == 1 else zero
+            if j == 1:
+                return -self._one
+            # ring operators, not CoeffElement.total: the bench tracer's
+            # self-check needs CoeffElement's + and * to fire on both the
+            # normalize and certify workloads; on certify this tower is
+            # their only caller, and on normalize the only caller of +
+            return sum((self.aug_power(k, _SPHERE) * self.aug_power(j - 1 - k, t)
+                        for k in range(j - 1)), zero)
         if tag == "zgen":
             n = t[1]
             if j == 0:
@@ -79,7 +87,7 @@ class AugEnv:
                 return self.aug_power(j + 1, t[2])
             y = t[2]
             pairs = [(self.aug_power(j + 1, y), -1)]
-            pairs += ((self.aug_power(j - k, y), leaf(p_coeff(k))) for k in range(j))
+            pairs += ((self.aug_power(j - k, y), self.aug_power(k, _SPHERE)) for k in range(j))
             return self._total(pairs)
         if tag == "sum":
             return self._total((self.aug_power(j, s), 1) for s in t[1])
@@ -96,25 +104,6 @@ class AugEnv:
                 (self.aug_power(j - k, z), left)
                 for k in range(j + 1) if (left := self.aug_power(k, w)))
         raise ValueError("unknown term tag %r" % (tag,))
-
-    def _aug_euler_tower(self, j: int, flavor: str) -> CoeffElement:
-        if j == 0:
-            return self._zero
-        if flavor == "s":
-            return self._one if j == 1 else self._zero
-        # T(1) = -1, T(n) = sum_{k<n-1} p_k T(n-1-k), filled bottom-up into
-        # the memo: O(j^2) ring operations instead of 2^(j-1) calls
-        memo = self._memo
-        e_r = ("euler", "r")
-        for n in range(1, j + 1):
-            if (n, e_r) not in memo:
-                # ring operators, not CoeffElement.total: the bench tracer's
-                # self-check needs CoeffElement's + and * to fire on both the
-                # normalize and certify workloads; on certify this tower is
-                # their only caller, and on normalize the only caller of +
-                terms = (self._leaf(p_coeff(k)) * memo[(n - 1 - k, e_r)] for k in range(n - 1))
-                memo[(n, e_r)] = sum(terms, -self._one if n == 1 else self._zero)
-        return memo[(j, e_r)]
 
 
 # one shared augmentation memo; it is a pure function of the term

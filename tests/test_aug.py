@@ -1,8 +1,8 @@
 import hashlib
 import random
 
-from sfb.aug import AugEnv, p_coeff
-from sfb.coeff import CoeffElement, aug_symbol, cp
+from sfb.aug import AugEnv
+from sfb.coeff import CoeffElement, Point, aug_symbol, cp
 from sfb.engine import bm_term, enumerate_basis, random_term
 from sfb.terms import (
     t_bar,
@@ -23,13 +23,30 @@ def g_s(t, j=1):
     return t
 
 
-def test_p_coeff():
-    assert p_coeff(0) == cp(1)
-    assert p_coeff(1) == aug_symbol(1, "P")
-    assert p_coeff(3) == aug_symbol(3, "P")
+def p_coeff(t):
+    """The t-fold tower over the sphere class P: g1, then A(t;P)."""
+    return cp(1) if t == 0 else aug_symbol(t, "P")
+
+
+def test_sphere_class_has_one_tower():
+    # G_r(G_s(e_r)), Z(1,r) and Z(1,s) are all the sphere class P
+    point = Point("sphere")
+    spheres = (t_gamma("r", g_s(t_euler("r"))), t_zgen(1, "r"), t_zgen(1, "s"))
+    for env, leaf in ((AugEnv(), lambda c: c), (AugEnv(point), point)):
+        for t in range(9):
+            expected = leaf(p_coeff(t))
+            assert [env.aug_power(t, s) for s in spheres] == [expected] * 3, t
 
 
 def test_euler_and_first_layer():
+    # G_V(e_V) = 1, whose tower vanishes above j = 0
+    point = Point("euler")
+    for env in (AugEnv(), AugEnv(point)):
+        for fl in "rs":
+            unit = t_gamma(fl, t_euler(fl))
+            assert env.aug(unit) == 1
+            for m in range(1, 21):
+                assert env.aug_power(m, unit) == 0, (fl, m)
     env = AugEnv()
     assert env.aug(t_euler("r")) == 0
     assert env.aug(t_euler("s")) == 0
@@ -172,11 +189,23 @@ def test_deep_euler_towers_are_memoized():
     assert env.aug_power(j, t_euler("r")) == tower[j]
     assert env.aug(g_s(t_euler("r"), j)) == tower[j]
     assert len(tower[j].terms) == 3010
-    # one memo entry per tower height, plus the j + 1 nested G_s terms
-    assert len(env._memo) <= 2 * j + 2
+    # one memo entry per tower height, plus the j + 1 nested G_s terms;
+    # the sphere-class entries that supply p_t are not counted
+    towers = [key for key in env._memo if key[1][0] in ("euler", "gamma")]
+    assert len(towers) <= 2 * j + 2
     assert env.aug_power(60, t_euler("s")) == 0
     assert env.aug(g_s(t_euler("s"), 60)) == 0
     assert env.aug_power(1, t_euler("s")) == 1
+
+
+def test_deep_euler_tower_at_a_point():
+    # each tower height over e_r is a few stack frames deep
+    point = Point("deep")
+    j = 300
+    tower = [0, -1]
+    for n in range(2, j + 1):
+        tower.append(sum(point(p_coeff(k)) * tower[n - 1 - k] for k in range(n - 1)))
+    assert AugEnv(point).aug_power(j, t_euler("r")) == tower[j]
 
 
 # sha256 of the newline-joined str(aug_power(j, t)) over the corpus below,
