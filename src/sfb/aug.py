@@ -34,16 +34,18 @@ _SPHERE = t_zgen(1, "r")
 
 
 class AugEnv:
-    """Augmentation memoized on each term as the caller built it.  A
-    `leaf` map, such as a ``coeff.Point``, carries every scalar the rules
-    bring in into its own ring, and the values are sums of products
-    there: the augmentation evaluated under that map."""
+    """Augmentation memoized on each term as the caller built it.  With a
+    ``coeff.Point``, every scalar the rules bring in is its residue there,
+    and so is every value: the augmentation evaluated at the point.  Such
+    an env maps a hit in ``AUG``'s exact memo through the point, and
+    follows the rules only on a miss."""
 
-    def __init__(self, leaf=None):
+    def __init__(self, point=None):
         self._memo = {}
-        self._leaf = leaf or (lambda c: c)
-        self._total = CoeffElement.total if leaf is None else (
-            lambda pairs: sum(v * c for v, c in pairs))
+        self._leaf = point or (lambda c: c)
+        self._known, self._total = ({}, CoeffElement.total) if point is None else (
+            AUG._memo, lambda pairs: sum(v * c for v, c in pairs))
+        self._modulus = point and point.modulus
         self._zero, self._one = self._leaf(ZERO), self._leaf(ONE)
 
     def aug(self, term: tuple) -> CoeffElement:
@@ -55,7 +57,9 @@ class AugEnv:
         key = (j, term)
         value = self._memo.get(key)
         if value is None:
-            value = self._memo[key] = self._aug_power(j, term)
+            known = self._known.get(key)
+            value = self._aug_power(j, term) if known is None else self._leaf(known)
+            value = self._memo[key] = value % self._modulus if self._modulus else value
         return value
 
     def _aug_power(self, j: int, t: tuple) -> CoeffElement:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from functools import reduce
+from math import gcd
 from operator import mul, or_
 
 try:  # hashlib's sha512 without loading OpenSSL, as the random module does
@@ -115,7 +116,7 @@ class Sparse:
     coefficient ring, both localized presentations and the normal forms.
 
     ``__init__`` builds ``terms`` from a mapping and drops its zero
-    values, as the int-valued rings need; a ring whose values are not
+    values, as the int-valued ring needs; a ring whose values are not
     ints builds its own.  Subclasses supply ``degrees`` (the set of
     degrees present), ``__str__`` and, for powers, the unit ``one``.
     Instances are treated as immutable once built.
@@ -392,19 +393,58 @@ def _mono_degree(mono: int) -> int:
     return degree
 
 
-class Point:
-    """The ring map Z[g, A] -> Z sending each generator to a value in
-    [1, 2^64) drawn by sha512 from `text` and the generator's name, never
-    from the hash seed or the slot order.  Calling it evaluates an element,
-    memoized per packed monomial; a generator power past MAX_EXPONENT
-    raises OverflowError."""
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, exact below 4,759,123,141
+    (Jaeschke 1993); a base that n divides is skipped."""
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    for a in (2, 7, 61):
+        x = pow(a, (n - 1) >> s, n)
+        if a % n and x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
-    MAX_EXPONENT = 4096
+
+class Point:
+    """The ring map from the localized images over Z[g, A] to Z/M, M the
+    product of three distinct primes in [2^29, 2^30).  The primes and the
+    values of g_n, A(j;base), e_r, e_s and X(n,V) are drawn by sha512 from
+    `text` and a name, never from the hash seed or the slot order.
+    ``euler[V]`` is (e_V, e_V^-1), units mod M.  Calling the point
+    evaluates a coefficient, ``laurent`` an image."""
+
+    _SMALL_ODD_PRIMES = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
 
     def __init__(self, text: str):
         self.seed = _sha512(text.encode()).hexdigest()[:16]
-        self._gens = {}  # slot -> value
-        self._monos = {0: 1}
+        primes, k = set(), 0
+        while len(primes) < 3:
+            # the first prime at or above a draw below 2^30 - 512: prime gaps
+            # below 2^30 are at most 282 (Young and Potler 1989)
+            n = (1 << 29) + self._draw("prime %d" % k) % ((1 << 29) - 512) | 1
+            while gcd(n, self._SMALL_ODD_PRIMES) != 1 or not is_prime(n):
+                n += 2
+            primes.add(n)
+            k += 1
+        self.primes = tuple(sorted(primes))
+        self.modulus = M = reduce(mul, primes)
+        self._values, self._monos = {}, {0: 1}
+        e_r, e_s = (self._draw("e_" + fl) % M for fl in FLAVORS)
+        while gcd(e_r * e_s, M) != 1:
+            e_r, e_s = e_r + 1, e_s + 1
+        inv = pow(e_r * e_s, -1, M)  # e_r^-1 = e_s (e_r e_s)^-1
+        self.euler = {"r": (e_r, e_s * inv % M), "s": (e_s, e_r * inv % M)}
+
+    def _draw(self, name: str) -> int:
+        return int.from_bytes(_sha512(("%s %s" % (self.seed, name)).encode()).digest(), "big")
+
+    def _value(self, key) -> int:  # key: a generator's slot, or (n, V) for X(n,V)
+        value = self._values.get(key)
+        if value is None:
+            name = _gen_name(_SLOTS[key]) if type(key) is int else "X(%d,%s)" % key
+            value = self._values[key] = self._draw(name) % self.modulus
+        return value
 
     def _mono(self, mono: int) -> int:
         value = self._monos.get(mono)
@@ -412,21 +452,25 @@ class Point:
             # the top slot's power times the rest, mostly a memo hit
             top = (mono.bit_length() - 1) // 64
             exp = mono >> 64 * top
-            if exp > self.MAX_EXPONENT:
-                raise OverflowError("a coefficient monomial is too large to evaluate")
-            gen = self._gens.get(top)
-            if gen is None:
-                name = "%s %s" % (self.seed, _gen_name(_SLOTS[top]))
-                digest = _sha512(name.encode()).digest()
-                gen = self._gens[top] = int.from_bytes(digest[:8], "big") % _EXP_MASK + 1
-            value = self._monos[mono] = self._mono(mono - (exp << 64 * top)) * gen ** exp
+            gen = pow(self._value(top), exp, self.modulus)
+            value = self._monos[mono] = self._mono(mono - (exp << 64 * top)) * gen % self.modulus
         return value
 
     def __call__(self, c: CoeffElement) -> int:
         monos, total = self._monos, 0
         for m, a in c.terms.items():
             total += a * (monos.get(m) or self._mono(m))
-        return total
+        return total % self.modulus
+
+    def laurent(self, p) -> int:
+        """The residue of an image: monomial (a, b, xs) is e_r^a e_s^b prod(xs)."""
+        M, e_r, e_s, total = self.modulus, self.euler["r"], self.euler["s"], 0
+        for (a, b, xs), c in p.terms.items():
+            value = pow(e_r[a < 0], abs(a), M) * pow(e_s[b < 0], abs(b), M) * self(c)
+            for x in xs:
+                value = value * self._value(x) % M
+            total += value
+        return total % M
 
 
 def _mono_str(mono) -> str:

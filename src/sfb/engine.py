@@ -10,12 +10,13 @@ and a basis monomial sorts as itself.
 
 Every rewrite rule is exact under the localization map.  Unless
 ``check_lambda=False`` (``--no-check-lambda``), ``normalize`` compares
-the localized images of the input and of its normal form at a point
-seeded from the input's text (``coeff.Point``).  Evaluation is a ring
-map, so a false mismatch is impossible, and a random point misses a real
-one with probability at most deg/(2^64 - 1) (Schwartz 1980, Zippel
-1979).  A point mismatch is rechecked exactly; ``lambda_image()``
-without a point stays exact.
+the images of the input and of its normal form as residues mod M, a
+product of three primes in [2^29, 2^30), at a point seeded from the
+input's text (``coeff.Point``).  Evaluation is a ring map, so a false
+mismatch is impossible; a real one is missed with probability at most
+(deg/(2^29 - 1))^3 (Schwartz 1980, Zippel 1979) unless a chosen prime
+divides every integer coefficient of the difference.  A mismatch is
+rechecked exactly; ``lambda_image()`` without a point stays exact.
 
 The pole convention of ``z_gen`` reaches only callers that print an
 image.  The ring automorphism X(n,V) -> X(n,V) + e_V'^-(n+1) - e_V^-(n+1)
@@ -42,11 +43,11 @@ import itertools
 import random
 from functools import cache, reduce
 from math import prod
+from operator import mul
 
 from .coeff import FLAVORS, CoeffElement, ONE, ZERO, Point, aug_symbol_name, coerce, cp
 from .phi import (
     Combination,
-    IntImage,
     PhiElement,
     euler_mono,
     mono_json,
@@ -214,12 +215,12 @@ class NormalForm(Combination):
 
     def lambda_image(self, point=None):
         """Sum of c * lambda(bm), over images built once per call; with a
-        ``coeff.Point``, that sum evaluated there, built there throughout."""
+        ``coeff.Point``, the residue of that sum there, built as residues
+        throughout."""
+        image = bm_images(point=point)
         if point is None:
-            image = bm_images()
             return PhiElement.total((image(bm), c) for bm, c in self.terms.items())
-        image = bm_images(present=lambda p: IntImage.at(point, p), aug=AugEnv(point).aug)
-        return IntImage.total((image(bm), point(c)) for bm, c in self.terms.items())
+        return sum(image(bm) * point(c) for bm, c in self.terms.items()) % point.modulus
 
     def aug(self) -> CoeffElement:
         return CoeffElement.total(
@@ -284,19 +285,23 @@ def _outer(word: tuple) -> tuple:
     return ("r", (i - 1, j, x, ())) if i else ("s", (0, j - 1, x, ()))
 
 
-def bm_images(convention: str = "same", present=None, block=None, aug=None):
-    """bm -> lambda(bm), or its image under a ring map `present`, such as
-    to_z_basis, that fixes e_r, e_s and the constants (evaluation at a
-    point too, with `aug` giving bar y at that point).  lambda is
-    multiplicative, so an image is its bare word's image times its
-    atoms'.  `present` runs once per plain word (0, 0, a, ()), each
-    operator word is built from its inner word in that presentation, and
-    each multiset product from its prefix, in memos that live as long as
-    the returned function.  With `block`, a monomial preorder that
-    respects products, bm maps to the block of its image where `block` is
-    largest: its factors' top blocks multiplied, as Z[g, A] is a domain."""
+def bm_images(convention: str = "same", present=None, block=None, point=None):
+    """bm -> lambda(bm), its image under a ring map `present`, such as
+    to_z_basis, that fixes e_r, e_s and the constants, or its residue at a
+    ``coeff.Point``.  lambda is multiplicative, so an image is its bare
+    word's image times its atoms'.  `present` runs once per plain word
+    (0, 0, a, ()), each operator word is built from its inner word in that
+    presentation, and each multiset product from its prefix, in memos that
+    live as long as the returned function.  With `block`, a monomial
+    preorder that respects products, bm maps to the block of its image
+    where `block` is largest: its factors' top blocks multiplied, as Z[g, A]
+    is a domain."""
     products = {}
-    bar = aug or AUG.aug
+    gamma, times, bar = _lambda_gamma, mul, AUG.aug
+    if point is not None:
+        present, bar, M, euler = point.laurent, AugEnv(point).aug, point.modulus, point.euler
+        gamma = lambda flavor, y, bar_y: (y - bar_y) * euler[flavor][1] % M
+        times = lambda a, b: a * b % M
 
     @cache
     def word_image(word):
@@ -304,7 +309,7 @@ def bm_images(convention: str = "same", present=None, block=None, aug=None):
             image = lambda_term(bm_term(word), convention)
             return image if present is None else present(image)
         flavor, inner = _outer(word)
-        return _lambda_gamma(flavor, word_image(inner), bar(bm_term(inner)))
+        return gamma(flavor, word_image(inner), bar(bm_term(inner)))
 
     @cache
     def factor(word):
@@ -322,45 +327,41 @@ def bm_images(convention: str = "same", present=None, block=None, aug=None):
                 hit = products.get(prefix)
                 if hit is None:
                     atom = factor((0, 0, m[k], ()))
-                    hit = products[prefix] = image * atom if k else atom
+                    hit = products[prefix] = times(image, atom) if k else atom
                 image = hit
         return image
 
     def image(bm):
         i, j, x, m = bm
         word = factor((i, j, x, ()))
-        return word * product(m) if m else word
+        return times(word, product(m)) if m else word
 
     return image
 
 
 def _check_lambda(term: tuple, nf: NormalForm):
-    """Raise unless nf has term's localized image, compared at a point
-    seeded from the term's text, and exactly where the point values differ
-    or do not fit: an exact difference is a LambdaMismatch, and none is a
-    fault of the point route."""
+    """Raise unless nf has term's localized image, compared as residues at
+    a point seeded from the term's text, and exactly where the residues
+    differ: an exact difference is a LambdaMismatch, and none is a fault
+    of the point route."""
     direct, text = lambda_term(term), term_text(term)
     point = Point(text)
-    try:
-        agree = IntImage.at(point, direct) == nf.lambda_image(point)
-    except OverflowError:
-        agree = None
-    if agree:
+    if point.laurent(direct) == nf.lambda_image(point):
         return
+    at = "point seed %s, modulus %d" % (point.seed, point.modulus)
     via_nf = nf.lambda_image()
     if direct != via_nf:
         m = min((direct - via_nf).terms)
         a, b = direct.terms.get(m, ZERO), via_nf.terms.get(m, ZERO)
         raise LambdaMismatch(
             "normalize changed the localized image of %r: the coefficient of %s "
-            "is %s in the input's image and %s in the normal form's (point seed %s)"
-            % (text, PhiElement({m: ONE}), a, b, point.seed)
+            "is %s in the input's image and %s in the normal form's (%s)"
+            % (text, PhiElement({m: ONE}), a, b, at)
         )
-    if agree is not None:
-        raise InternalError(
-            "the cross-check of %r at point seed %s found a mismatch that the "
-            "exact images do not have" % (text, point.seed)
-        )
+    raise InternalError(
+        "the cross-check of %r at %s, found a mismatch that the exact images "
+        "do not have" % (text, at)
+    )
 
 
 # --- the rewriting engine -------------------------------------------------

@@ -195,7 +195,13 @@ class PhiElement(Combination):
         ints_a = _int_coefficients(a)
         ints_b = ints_a is not None and _int_coefficients(b)
         if ints_b:
-            sums = _int_product(ints_a, ints_b)
+            sums = {}
+            # mono_mul, inlined: flat manifold powers spend their time here
+            for (a1, b1, x1), n1 in ints_a:
+                for (a2, b2, x2), n2 in ints_b:
+                    xs = tuple(sorted(x1 + x2)) if x1 and x2 else x1 or x2
+                    m = (a1 + a2, b1 + b2, xs)
+                    sums[m] = sums.get(m, 0) + n1 * n2
             return self._of({m: CoeffElement.integer(n) for m, n in sums.items() if n})
         if len(a) < len(b):
             a, b = b, a
@@ -246,44 +252,6 @@ def _int_coefficients(terms: dict):
             return None
         out.append((m, n))
     return out
-
-
-def _int_product(ints_a, ints_b) -> dict:
-    """The product of two [(monomial, int)] factors, zero sums kept."""
-    sums = {}
-    # mono_mul, inlined: flat manifold powers spend their time here
-    for (a1, b1, x1), n1 in ints_a:
-        for (a2, b2, x2), n2 in ints_b:
-            xs = tuple(sorted(x1 + x2)) if x1 and x2 else x1 or x2
-            m = (a1 + a2, b1 + b2, xs)
-            sums[m] = sums.get(m, 0) + n1 * n2
-    return sums
-
-
-class IntImage(Sparse):
-    """Laurent polynomial with int coefficients, such as a localized image
-    evaluated at a ``coeff.Point``: the ring of the normalize cross-check."""
-
-    __slots__ = ()
-
-    @classmethod
-    def at(cls, point, p: PhiElement) -> "IntImage":
-        return cls._of({m: n for m, c in p.terms.items() if (n := point(c))})
-
-    @classmethod
-    def total(cls, pairs) -> "IntImage":
-        """The sum of n * x over the (x, n) pairs, n an int."""
-        acc = {}
-        for x, n in pairs:
-            for m, a in x.terms.items():
-                acc[m] = acc.get(m, 0) + n * a
-        return cls(acc)
-
-    def __sub__(self, other):
-        return self.total(((self, 1), (other, -1)))
-
-    def __mul__(self, other):
-        return IntImage(_int_product(self.terms.items(), other.terms.items()))
 
 
 def mono_json(m: tuple) -> dict:

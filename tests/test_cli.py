@@ -16,7 +16,7 @@ import sfb
 import sfb.cli
 from sfb.cli import main
 from sfb.engine import VARIANTS, NormalForm
-from sfb.phi import IntImage, PhiElement
+from sfb.phi import PhiElement
 from test_parse import grammar_text
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -347,7 +347,7 @@ def test_no_check_lambda_skips_the_cross_check(capsys, monkeypatch):
     assert expected == (0, "G_r(G_s(Z(2,r)))")
 
     def one(self, point=None):
-        return PhiElement.one() if point is None else IntImage.at(point, PhiElement.one())
+        return PhiElement.one() if point is None else point.laurent(PhiElement.one())
 
     monkeypatch.setattr(NormalForm, "lambda_image", one)
     # the cross-check runs, and can fail, under either pole convention
